@@ -74,6 +74,9 @@ let send_line c line =
   | exception Unix.Unix_error (err, _, _) ->
       Error (Printf.sprintf "send failed: %s" (Unix.error_message err))
 
+(* Room for a reply envelope around a frame-sized field. *)
+let max_reply_bytes = Protocol.max_frame_bytes + 4096
+
 (* Reads one newline-terminated frame, buffering any bytes of the next
    frame for the following call. *)
 let read_line c =
@@ -85,6 +88,9 @@ let read_line c =
         Buffer.clear c.buf;
         Buffer.add_substring c.buf s (i + 1) (String.length s - i - 1);
         Ok (String.sub s 0 i)
+    | None when String.length s > max_reply_bytes ->
+        Error
+          (Printf.sprintf "reply exceeds the %d-byte limit" max_reply_bytes)
     | None -> (
         match Unix.read c.fd chunk 0 (Bytes.length chunk) with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> take ()
@@ -99,25 +105,26 @@ let read_line c =
 
 let ( let* ) = Result.bind
 
-let request t frame =
+let request_line t line =
   let* c = connect t in
-  let fail msg =
-    (* A failed exchange leaves the stream in an unknown state; start
-       fresh next time. *)
-    close t;
-    Error msg
+  let result =
+    let* () = send_line c (line ^ "\n") in
+    read_line c
   in
-  match send_line c (Json.to_string frame ^ "\n") with
-  | Error msg -> fail msg
-  | Ok () -> (
-      match read_line c with
-      | Error msg -> fail msg
-      | Ok line -> (
-          match Json.of_string line with
-          | Error msg -> fail (Printf.sprintf "malformed reply: %s" msg)
-          | Ok reply ->
-              if Protocol.reply_status reply = "overloaded" then close t;
-              Ok reply))
+  (* A failed exchange leaves the stream in an unknown state; start
+     fresh next time. *)
+  if Result.is_error result then close t;
+  result
+
+let request t frame =
+  let* line = request_line t (Json.to_string frame) in
+  match Json.of_string line with
+  | Error msg ->
+      close t;
+      Error (Printf.sprintf "malformed reply: %s" msg)
+  | Ok reply ->
+      if Protocol.reply_status reply = "overloaded" then close t;
+      Ok reply
 
 let request_retry ?(attempts = 20) t frame =
   let rec go n =

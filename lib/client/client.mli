@@ -43,6 +43,12 @@ val request : t -> Vp_observe.Json.t -> (Vp_observe.Json.t, string) result
     An [overloaded] reply is returned as-is (and the connection, which
     the server has already closed, is dropped). *)
 
+val request_line : t -> string -> (string, string) result
+(** The raw exchange under {!request}: one frame (no newline) out, one
+    reply line back, byte for byte and never parsed — what the router
+    relays with. A failed exchange drops the connection. A reply over
+    {!Vp_server.Protocol.max_frame_bytes} + 4 KiB is an [Error]. *)
+
 val request_retry :
   ?attempts:int -> t -> Vp_observe.Json.t -> (Vp_observe.Json.t, string) result
 (** Like {!request}, but an [overloaded] reply sleeps for its

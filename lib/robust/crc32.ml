@@ -2,18 +2,18 @@
    Small and dependency-free; the journal needs integrity checks, not
    cryptography. *)
 
+(* Built eagerly at module initialisation: a [lazy] table forced by two
+   domains at once raises [CamlinternalLazy.Undefined] in one of them. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1)
-           else c := !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1)
+        else c := !c lsr 1
+      done;
+      !c)
 
 let update crc s =
-  let table = Lazy.force table in
   let crc = ref (crc lxor 0xFFFFFFFF) in
   String.iter
     (fun ch ->

@@ -3,6 +3,7 @@ module Protocol = Vp_server.Protocol
 module Sessions = Vp_server.Sessions
 module Journal = Vp_robust.Journal
 module Client = Vp_client.Client
+module Conn_loop = Vp_server.Conn_loop
 
 let c_requests = Vp_observe.Stats.counter "router.requests"
 
@@ -16,8 +17,6 @@ let c_restarts = Vp_observe.Stats.counter "router.restarts"
 
 let c_failures = Vp_observe.Stats.counter "router.shard_failures"
 
-let retry_after_ms = 100
-
 let stat_incr c = if Vp_observe.Switch.stats_on () then Vp_observe.Stats.incr c
 
 type shard = {
@@ -30,20 +29,13 @@ type shard = {
 }
 
 type t = {
-  listen_fd : Unix.file_descr;
-  port : int;
-  jobs : int;
-  max_pending : int;
+  loop : Conn_loop.t;
   shard_jobs : int;
   shard_max_pending : int;
   max_resident : int option;
   fsync : Journal.fsync;
   replicas : int;
   data_dir : string;
-  stopping : bool Atomic.t;
-  in_flight : int Atomic.t;
-  conns : (Unix.file_descr, unit) Hashtbl.t;
-  conns_mutex : Mutex.t;
   (* [state] guards [shards] and [ring] (short critical sections on the
      request path); [control] serializes ring changes and supervision
      (held across a whole handoff). Lock order: control before state. *)
@@ -57,12 +49,6 @@ type t = {
   reconfiguring : bool Atomic.t;
   rr : int Atomic.t;
 }
-
-let locked_state t f =
-  Mutex.lock t.state;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.state) f
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -195,7 +181,7 @@ let spawn_shard t (s : shard) =
    sessions). Runs with [control] held, so it never races a handoff. *)
 let supervise_cycle t =
   let dead =
-    locked_state t (fun () ->
+    Mutex.protect t.state (fun () ->
         Hashtbl.fold
           (fun _ s acc ->
             if s.pid > 0 then (
@@ -209,7 +195,7 @@ let supervise_cycle t =
   in
   List.iter
     (fun s ->
-      if not (Atomic.get t.stopping) then begin
+      if not (Conn_loop.stopping t.loop) then begin
         if s.healthy then begin
           s.healthy <- false;
           stat_incr c_failures
@@ -224,11 +210,8 @@ let supervise_cycle t =
     dead
 
 let supervise t =
-  while not (Atomic.get t.stopping) do
-    Mutex.lock t.control;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.control)
-      (fun () -> supervise_cycle t);
+  while not (Conn_loop.stopping t.loop) do
+    Mutex.protect t.control (fun () -> supervise_cycle t);
     Unix.sleepf 0.05
   done
 
@@ -260,6 +243,12 @@ let stop_shard (s : shard) =
 
 (* --- construction --- *)
 
+(* Shard [i], not yet spawned: [spawn_shard] fills in its port and pid. *)
+let new_shard t i =
+  let id = Printf.sprintf "shard-%d" i in
+  let dir = Filename.concat t.data_dir id in
+  { id; dir; port = 0; pid = 0; healthy = false; restarts = 0 }
+
 let create ?(host = "127.0.0.1") ?(port = Protocol.default_port) ?(jobs = 4)
     ?(max_pending = 64) ?(shards = 3) ?(shard_jobs = 4)
     ?(shard_max_pending = 64) ?max_resident ?(fsync = Journal.Never)
@@ -268,36 +257,16 @@ let create ?(host = "127.0.0.1") ?(port = Protocol.default_port) ?(jobs = 4)
   if max_pending < 1 then invalid_arg "Router.create: max_pending must be >= 1";
   if shards < 1 then invalid_arg "Router.create: shards must be >= 1";
   if shard_jobs < 1 then invalid_arg "Router.create: shard_jobs must be >= 1";
-  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt fd Unix.SO_REUSEADDR true;
-     Unix.bind fd addr;
-     Unix.listen fd 64
-   with e ->
-     close_quietly fd;
-     raise e);
-  let port =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> port
-  in
+  let loop = Conn_loop.create ~host ~port ~jobs ~max_pending ~shed:c_shed () in
   let t =
     {
-      listen_fd = fd;
-      port;
-      jobs;
-      max_pending;
+      loop;
       shard_jobs;
       shard_max_pending;
       max_resident;
       fsync;
       replicas;
       data_dir;
-      stopping = Atomic.make false;
-      in_flight = Atomic.make 0;
-      conns = Hashtbl.create 16;
-      conns_mutex = Mutex.create ();
       state = Mutex.create ();
       shards = Hashtbl.create 8;
       ring = Ring.make ~replicas [];
@@ -308,151 +277,64 @@ let create ?(host = "127.0.0.1") ?(port = Protocol.default_port) ?(jobs = 4)
     }
   in
   mkdir_p data_dir;
-  let fleet =
-    List.init shards (fun i ->
-        let id = Printf.sprintf "shard-%d" i in
-        {
-          id;
-          dir = Filename.concat data_dir id;
-          port = 0;
-          pid = 0;
-          healthy = false;
-          restarts = 0;
-        })
-  in
+  let fleet = List.init shards (fun i -> new_shard t i) in
   (try List.iter (fun s -> spawn_shard t s) fleet
    with e ->
      List.iter (fun s -> stop_shard s) fleet;
-     close_quietly fd;
+     Conn_loop.close loop;
      raise e);
   List.iter (fun s -> Hashtbl.replace t.shards s.id s) fleet;
   t.ring <- Ring.make ~replicas (List.map (fun s -> s.id) fleet);
   t
 
-let port t = t.port
+let port t = Conn_loop.port t.loop
 
-let shard_count t = locked_state t (fun () -> Hashtbl.length t.shards)
+let shard_count t = Mutex.protect t.state (fun () -> Hashtbl.length t.shards)
 
-let stop t = Atomic.set t.stopping true
+let stop t = Conn_loop.stop t.loop
 
-let install_signal_handlers t =
-  let ignore_bad_signal f =
-    try f () with Invalid_argument _ | Sys_error _ -> ()
-  in
-  ignore_bad_signal (fun () -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore);
-  let to_stop s =
-    ignore_bad_signal (fun () ->
-        Sys.set_signal s (Sys.Signal_handle (fun _ -> stop t)))
-  in
-  to_stop Sys.sigterm;
-  to_stop Sys.sigint
+let install_signal_handlers t = Conn_loop.install_signal_handlers t.loop
 
 (* --- the data plane: raw verbatim forwarding ---
 
    A forwarded frame and its reply are relayed byte-for-byte — never
    parsed-and-reprinted — so the shard's reply (including history
    strings under the determinism contract) crosses the router
-   untouched. Each client connection keeps one cached connection per
-   shard it has talked to. *)
+   untouched. Each client connection keeps one shard client per shard
+   it has talked to, replaced when that shard restarts on a new port. *)
 
-type sconn = { sport : int; fd : Unix.file_descr; rbuf : Buffer.t }
-
-let write_all fd line =
-  let len = String.length line in
-  let rec go off =
-    if off < len then go (off + Unix.write_substring fd line off (len - off))
-  in
-  go 0
-
-let send_line sc line =
-  match write_all sc.fd (line ^ "\n") with
-  | () -> true
-  | exception (Unix.Unix_error _ | Sys_error _) -> false
-
-(* One newline-terminated reply, bounded like the daemon's reader. *)
-let recv_line sc =
-  let chunk_len = 8192 in
-  let chunk = Bytes.create chunk_len in
-  let rec take () =
-    match String.index_opt (Buffer.contents sc.rbuf) '\n' with
-    | Some i ->
-        let all = Buffer.contents sc.rbuf in
-        let line = String.sub all 0 i in
-        Buffer.clear sc.rbuf;
-        Buffer.add_substring sc.rbuf all (i + 1) (String.length all - i - 1);
-        Some line
-    | None ->
-        if Buffer.length sc.rbuf > Protocol.max_frame_bytes + 4096 then None
-        else begin
-          match Unix.read sc.fd chunk 0 chunk_len with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> take ()
-          | exception Unix.Unix_error (_, _, _) -> None
-          | 0 -> None
-          | n ->
-              Buffer.add_subbytes sc.rbuf chunk 0 n;
-              take ()
-        end
-  in
-  take ()
-
-let drop_conn cache id =
-  match Hashtbl.find_opt cache id with
-  | Some sc ->
-      close_quietly sc.fd;
-      Hashtbl.remove cache id
-  | None -> ()
-
-let conn_for cache (s : shard) =
+let client_for cache (s : shard) =
   match Hashtbl.find_opt cache s.id with
-  | Some sc when sc.sport = s.port -> Some sc
-  | stale -> (
-      (match stale with
-      | Some sc ->
-          close_quietly sc.fd;
-          Hashtbl.remove cache s.id
-      | None -> ());
-      let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, s.port) in
-      let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-      match Unix.connect fd addr with
-      | () ->
-          let sc = { sport = s.port; fd; rbuf = Buffer.create 256 } in
-          Hashtbl.replace cache s.id sc;
-          Some sc
-      | exception Unix.Unix_error _ ->
-          close_quietly fd;
-          None)
+  | Some c when Client.port c = s.port -> c
+  | stale ->
+      Option.iter Client.close stale;
+      let c = Client.create ~port:s.port () in
+      Hashtbl.replace cache s.id c;
+      c
 
 (* A reply to relay as-is, or one the router built itself. *)
 type outcome = Raw of string | Doc of Json.t
 
 let shed_outcome () =
   stat_incr c_shed;
-  Doc (Protocol.overloaded_reply ~retry_after_ms)
+  Doc (Protocol.overloaded_reply ~retry_after_ms:Conn_loop.retry_after_ms)
 
 let forward cache (s : shard) line =
   stat_incr c_forwards;
-  match conn_for cache s with
-  | None ->
+  match Client.request_line (client_for cache s) line with
+  | Ok reply -> Raw reply
+  | Error _ ->
+      (* The shard is down, or died (or hung up) mid-exchange: shed, so
+         the client's seq-idempotent retry lands after the restart. *)
       stat_incr c_failures;
       shed_outcome ()
-  | Some sc -> (
-      if not (send_line sc line) then begin
-        drop_conn cache s.id;
-        stat_incr c_failures;
-        shed_outcome ()
-      end
-      else
-        match recv_line sc with
-        | Some reply -> Raw reply
-        | None ->
-            (* The shard died (or hung up) mid-exchange: shed, so the
-               client's seq-idempotent retry lands after the restart. *)
-            drop_conn cache s.id;
-            stat_incr c_failures;
-            shed_outcome ())
+
+let all_shards t =
+  Mutex.protect t.state (fun () -> Hashtbl.fold (fun _ s acc -> s :: acc) t.shards [])
+  |> List.sort (fun a b -> String.compare a.id b.id)
 
 let owner t session =
-  locked_state t (fun () ->
+  Mutex.protect t.state (fun () ->
       match Ring.lookup_opt t.ring session with
       | None -> None
       | Some id -> Hashtbl.find_opt t.shards id)
@@ -464,23 +346,14 @@ let forward_session t cache session line =
     | Some s when s.healthy -> forward cache s line
     | Some _ | None -> shed_outcome ()
 
-let healthy_shards t =
-  locked_state t (fun () ->
-      Hashtbl.fold (fun _ s acc -> if s.healthy then s :: acc else acc) t.shards [])
-  |> List.sort (fun a b -> String.compare a.id b.id)
-
 let forward_rr t cache line =
-  match healthy_shards t with
+  match List.filter (fun s -> s.healthy) (all_shards t) with
   | [] -> shed_outcome ()
   | shards ->
       let i = Atomic.fetch_and_add t.rr 1 in
       forward cache (List.nth shards (i mod List.length shards)) line
 
 (* --- aggregated ops --- *)
-
-let all_shards t =
-  locked_state t (fun () -> Hashtbl.fold (fun _ s acc -> s :: acc) t.shards [])
-  |> List.sort (fun a b -> String.compare a.id b.id)
 
 let aggregate_stats t =
   let counters = Hashtbl.create 32 and gauges = Hashtbl.create 16 in
@@ -585,10 +458,6 @@ let checked_is_ok = function Ok _ -> true | Error _ -> false
 let adopt_on (dest : shard) name =
   checked_is_ok (shard_rpc dest.port (Protocol.adopt_request ~session:name))
 
-let with_control t f =
-  Mutex.lock t.control;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.control) f
-
 let while_reconfiguring t f =
   Atomic.set t.reconfiguring true;
   Fun.protect ~finally:(fun () -> Atomic.set t.reconfiguring false) f
@@ -599,22 +468,22 @@ let while_reconfiguring t f =
    WAL) hands off the same way, and the gainer's first touch replays it
    exactly like crash recovery. *)
 let cluster_remove t id =
-  with_control t (fun () ->
-      match locked_state t (fun () -> Hashtbl.find_opt t.shards id) with
+  Mutex.protect t.control (fun () ->
+      match Mutex.protect t.state (fun () -> Hashtbl.find_opt t.shards id) with
       | None -> Protocol.error_reply (Printf.sprintf "unknown shard %S" id)
       | Some victim ->
-          if locked_state t (fun () -> Hashtbl.length t.shards) <= 1 then
+          if Mutex.protect t.state (fun () -> Hashtbl.length t.shards) <= 1 then
             Protocol.error_reply "cannot remove the last shard"
           else
             while_reconfiguring t (fun () ->
-                let ring' = locked_state t (fun () -> Ring.remove t.ring id) in
+                let ring' = Mutex.protect t.state (fun () -> Ring.remove t.ring id) in
                 stop_shard victim;
                 let names = Sessions.on_disk_sessions victim.dir in
                 let moved = ref 0 and errors = ref 0 in
                 List.iter
                   (fun name ->
                     let dest =
-                      locked_state t (fun () ->
+                      Mutex.protect t.state (fun () ->
                           Option.bind (Ring.lookup_opt ring' name)
                             (Hashtbl.find_opt t.shards))
                     in
@@ -628,7 +497,7 @@ let cluster_remove t id =
                         end
                         else incr errors)
                   names;
-                locked_state t (fun () ->
+                Mutex.protect t.state (fun () ->
                     Hashtbl.remove t.shards id;
                     t.ring <- ring');
                 Protocol.ok_reply
@@ -643,27 +512,15 @@ let cluster_remove t id =
    nothing else moves). Live losers [detach] (spill + forget, files
    kept); a crashed loser's sessions are taken straight off its disk. *)
 let cluster_add t =
-  with_control t (fun () ->
-      let id =
-        let id = Printf.sprintf "shard-%d" t.next_id in
-        t.next_id <- t.next_id + 1;
-        id
-      in
-      let s =
-        {
-          id;
-          dir = Filename.concat t.data_dir id;
-          port = 0;
-          pid = 0;
-          healthy = false;
-          restarts = 0;
-        }
-      in
+  Mutex.protect t.control (fun () ->
+      let s = new_shard t t.next_id in
+      let id = s.id in
+      t.next_id <- t.next_id + 1;
       match spawn_shard t s with
       | exception Failure msg -> Protocol.error_reply msg
       | () ->
-          locked_state t (fun () -> Hashtbl.replace t.shards id s);
-          let ring' = locked_state t (fun () -> Ring.add t.ring id) in
+          Mutex.protect t.state (fun () -> Hashtbl.replace t.shards id s);
+          let ring' = Mutex.protect t.state (fun () -> Ring.add t.ring id) in
           while_reconfiguring t (fun () ->
               let moved = ref 0 and errors = ref 0 in
               let losers =
@@ -701,7 +558,7 @@ let cluster_add t =
                       end)
                     names)
                 losers;
-              locked_state t (fun () -> t.ring <- ring');
+              Mutex.protect t.state (fun () -> t.ring <- ring');
               Protocol.ok_reply
                 [
                   ("shard", Json.String id);
@@ -712,7 +569,7 @@ let cluster_add t =
 let cluster_locate t doc =
   match Json.member "session" doc with
   | Some (Json.String session) -> (
-      match locked_state t (fun () -> Ring.lookup_opt t.ring session) with
+      match Mutex.protect t.state (fun () -> Ring.lookup_opt t.ring session) with
       | Some id -> Protocol.ok_reply [ ("shard", Json.String id) ]
       | None -> Protocol.error_reply "the ring is empty")
   | Some _ | None ->
@@ -783,126 +640,18 @@ let reply_to_frame t cache line =
       | Some _ | None ->
           Doc (Protocol.error_reply "missing or non-string field \"op\""))
 
-(* --- the connection loop (the daemon's framing, relaying raw) --- *)
-
-let serve_connection t fd =
-  let cache : (string, sconn) Hashtbl.t = Hashtbl.create 4 in
-  Fun.protect
-    ~finally:(fun () -> Hashtbl.iter (fun _ sc -> close_quietly sc.fd) cache)
-    (fun () ->
-      let chunk_len = 8192 in
-      let chunk = Bytes.create chunk_len in
-      let acc = Buffer.create 256 in
-      let discarding = ref false in
-      let alive = ref true in
-      let send line =
-        try write_all fd (line ^ "\n")
-        with Unix.Unix_error _ | Sys_error _ -> alive := false
-      in
-      let handle_line line =
-        if !discarding then discarding := false
-        else
-          match reply_to_frame t cache line with
-          | Raw reply -> send reply
-          | Doc json -> send (Json.to_string json)
-      in
-      let overflow () =
-        if not !discarding then begin
-          send
-            (Json.to_string
-               (Protocol.error_reply
-                  (Printf.sprintf "frame exceeds the %d-byte limit"
-                     Protocol.max_frame_bytes)));
-          discarding := true
-        end;
-        Buffer.clear acc
-      in
-      while !alive do
-        match Unix.read fd chunk 0 chunk_len with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error (_, _, _) -> alive := false
-        | 0 -> alive := false
-        | n ->
-            let start = ref 0 in
-            for i = 0 to n - 1 do
-              if Bytes.get chunk i = '\n' then begin
-                Buffer.add_subbytes acc chunk !start (i - !start);
-                start := i + 1;
-                let line = Buffer.contents acc in
-                Buffer.clear acc;
-                handle_line line
-              end
-            done;
-            Buffer.add_subbytes acc chunk !start (n - !start);
-            if Buffer.length acc > Protocol.max_frame_bytes then overflow ()
-      done)
-
-(* --- accept loop, admission, drain --- *)
-
-let register_conn t fd =
-  Mutex.lock t.conns_mutex;
-  Hashtbl.replace t.conns fd ();
-  Mutex.unlock t.conns_mutex
-
-let unregister_conn t fd =
-  Mutex.lock t.conns_mutex;
-  Hashtbl.remove t.conns fd;
-  Mutex.unlock t.conns_mutex
-
-let shed_accept fd =
-  stat_incr c_shed;
-  let line = Json.to_string (Protocol.overloaded_reply ~retry_after_ms) ^ "\n" in
-  (try ignore (Unix.write_substring fd line 0 (String.length line))
-   with Unix.Unix_error _ -> ());
-  close_quietly fd
-
-let accept_one t pool =
-  match Unix.accept ~cloexec:true t.listen_fd with
-  | exception
-      Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-      ()
-  | fd, _ ->
-      if Atomic.get t.stopping then close_quietly fd
-      else if Atomic.get t.in_flight >= t.max_pending then shed_accept fd
-      else begin
-        Atomic.incr t.in_flight;
-        register_conn t fd;
-        Vp_parallel.Pool.submit pool (fun () ->
-            Fun.protect
-              ~finally:(fun () ->
-                unregister_conn t fd;
-                close_quietly fd;
-                Atomic.decr t.in_flight)
-              (fun () -> serve_connection t fd))
-      end
-
-let drain t pool supervisor =
-  close_quietly t.listen_fd;
-  Mutex.lock t.conns_mutex;
-  Hashtbl.iter
-    (fun fd () ->
-      try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-    t.conns;
-  Mutex.unlock t.conns_mutex;
-  while Atomic.get t.in_flight > 0 do
-    Unix.sleepf 0.005
-  done;
-  Domain.join supervisor;
-  List.iter stop_shard (all_shards t);
-  Vp_parallel.Pool.shutdown pool
-
 let serve t =
-  (* Same pool shape as the daemon: [jobs + 1] with the accept loop as
-     the non-draining helping caller, unclamped because handlers block
-     in [Unix.read] rather than compute. *)
-  let pool = Vp_parallel.Pool.create ~clamp:false ~jobs:(t.jobs + 1) () in
   let supervisor = Domain.spawn (fun () -> supervise t) in
-  Fun.protect
-    ~finally:(fun () -> drain t pool supervisor)
-    (fun () ->
-      while not (Atomic.get t.stopping) do
-        match Unix.select [ t.listen_fd ] [] [] 0.05 with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | [], _, _ -> ()
-        | _ :: _, _, _ -> accept_one t pool
-      done)
+  Conn_loop.serve t.loop
+    ~with_connection:(fun run ->
+      let cache : (string, Client.t) Hashtbl.t = Hashtbl.create 4 in
+      Fun.protect
+        ~finally:(fun () -> Hashtbl.iter (fun _ c -> Client.close c) cache)
+        (fun () ->
+          run (fun line ->
+              match reply_to_frame t cache line with
+              | Raw reply -> reply
+              | Doc json -> Json.to_string json)))
+    ~epilogue:(fun () ->
+      Domain.join supervisor;
+      List.iter stop_shard (all_shards t))

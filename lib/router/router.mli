@@ -34,6 +34,13 @@
     id/port/pid/health/restarts), [cluster_locate {session}] (the
     owner shard), [cluster_add], [cluster_remove {shard}].
 
+    The connection side — listening socket, admission with [overloaded]
+    shedding, newline framing, graceful drain — is the daemon's
+    {!Vp_server.Conn_loop}. The router adds only its dispatch, one
+    {!Vp_client.Client} per shard for each client connection (opened
+    and closed with it), and its drain epilogue: join the supervisor,
+    then stop every shard.
+
     Instrumentation: counters [router.requests], [router.forwards],
     [router.shed], [router.handoffs], [router.restarts],
     [router.shard_failures]; one [router.request] span per frame when
@@ -75,9 +82,9 @@ val port : t -> int
 val shard_count : t -> int
 
 val serve : t -> unit
-(** The accept loop, until {!stop}; the epilogue drains connections,
-    stops the supervisor and shuts the fleet down gracefully (SIGTERM —
-    every shard drains and spills its sessions). Call at most once. *)
+(** {!Vp_server.Conn_loop.serve} until {!stop}; the epilogue stops the
+    supervisor and shuts the fleet down gracefully (SIGTERM — every
+    shard drains and spills its sessions). Call at most once. *)
 
 val stop : t -> unit
 (** Flag-only, safe from signal handlers and pool workers. *)

@@ -1,26 +1,12 @@
 (** The layout daemon: a concurrent TCP server for the {!Protocol}.
 
-    One daemon owns one listening socket, one {!Sessions.t} registry and
-    one {!Vp_parallel.Pool}. The accept loop runs in the calling domain
-    and hands each accepted connection to a pool worker
-    ({!Vp_parallel.Pool.submit}), so a connection occupies one worker for
-    its lifetime — thread-per-connection, with OCaml domains as the
-    threads. [jobs = 1] therefore serves strictly sequentially, which is
-    what the determinism tests exploit.
-
-    Backpressure is explicit, never silent: when [max_pending]
-    connections are already in flight, a new connection is answered with
-    one [overloaded] frame carrying a [retry_after_ms] hint and closed
-    before a byte of it is read. Clients retry after the hint instead of
-    hanging on an unbounded queue.
-
-    Shutdown is graceful: {!stop} (also installed as the SIGTERM/SIGINT
-    action by {!install_signal_handlers}, and reachable over the wire as
-    the [shutdown] op) only raises a flag. The accept loop notices it
-    within its 50 ms poll interval, stops accepting, closes the listening
-    socket, half-closes every in-flight connection's read side so blocked
-    readers see EOF, waits for the in-flight count to reach zero, flushes
-    every session ({!Sessions.drain}) and joins the pool.
+    One daemon owns one {!Conn_loop} (listening socket, admission with
+    [overloaded] shedding, newline framing, graceful drain — see there),
+    one {!Sessions.t} registry, and the per-frame dispatch. Its drain
+    epilogue flushes every session ({!Sessions.drain}) once the last
+    connection has finished. [jobs = 1] serves strictly sequentially,
+    which is what the determinism tests exploit. The [shutdown] op is
+    {!stop} over the wire.
 
     Instrumentation (under {!Vp_observe.Switch}): counters
     [server.requests] and [server.shed], gauge [server.active_sessions],
@@ -56,16 +42,13 @@ val port : t -> int
 val jobs : t -> int
 
 val serve : t -> unit
-(** Runs the accept loop in the calling domain until {!stop}; performs
-    the graceful drain described above before returning, even when the
-    loop dies by exception. Call at most once per daemon. *)
+(** {!Conn_loop.serve} until {!stop}, then the graceful drain and
+    {!Sessions.drain}, even when the loop dies by exception. Call at
+    most once per daemon. *)
 
 val stop : t -> unit
-(** Requests a graceful drain. Only sets a flag — safe from a signal
-    handler, a pool worker mid-request ([shutdown] op) or another
-    domain; the drain itself happens in {!serve}'s epilogue. *)
+(** Requests a graceful drain ({!Conn_loop.stop}). *)
 
 val install_signal_handlers : t -> unit
-(** Routes SIGTERM and SIGINT to {!stop} (and ignores SIGPIPE, so a
-    client that disconnects mid-reply surfaces as [EPIPE] instead of
-    killing the process). *)
+(** {!Conn_loop.install_signal_handlers}: SIGTERM and SIGINT to {!stop},
+    SIGPIPE ignored. *)

@@ -252,39 +252,88 @@ let test_protocol_robustness () =
             "no leaked sessions" (Some 0)
             (Protocol.int_field "sessions" stats)))
 
-let test_overload_shed () =
-  with_daemon ~jobs:1 ~max_pending:1 (fun port ->
-      (* One connection parks in a sleep, occupying the single slot. *)
-      let sleeper =
-        Domain.spawn (fun () ->
-            with_client port (fun c ->
-                Client.request c (Protocol.sleep ~ms:400)))
-      in
-      Unix.sleepf 0.1;
-      with_client port (fun c ->
-          (match Client.request c Protocol.ping with
-          | Ok reply ->
-              Alcotest.(check string)
-                "second client is shed" "overloaded"
-                (Protocol.reply_status reply);
-              (match Protocol.retry_after_ms reply with
-              | Some ms -> Alcotest.(check bool) "retry hint" true (ms > 0)
-              | None -> Alcotest.fail "overloaded reply without retry_after_ms")
-          | Error msg -> Alcotest.failf "shed reply lost: %s" msg);
-          (* Retrying with backoff eventually gets through — the
-             overloaded path degrades, it does not hang. *)
-          match Client.request_retry ~attempts:50 c Protocol.ping with
-          | Ok reply ->
-              Alcotest.(check string)
-                "retry succeeds once drained" "ok"
-                (Protocol.reply_status reply)
-          | Error msg -> Alcotest.failf "retry never got through: %s" msg);
-      match Domain.join sleeper with
+(* Shared by the daemon and the router: both admit through the same
+   connection core, so a 1-slot server must shed the second client with
+   a retry hint and let a retry through once the slot frees. *)
+let overload_shed port =
+  (* One connection parks in a sleep, occupying the single slot. *)
+  let sleeper =
+    Domain.spawn (fun () ->
+        with_client port (fun c ->
+            Client.request c (Protocol.sleep ~ms:400)))
+  in
+  Unix.sleepf 0.1;
+  with_client port (fun c ->
+      (match Client.request c Protocol.ping with
       | Ok reply ->
           Alcotest.(check string)
-            "sleeper completed" "ok"
+            "second client is shed" "overloaded"
+            (Protocol.reply_status reply);
+          (match Protocol.retry_after_ms reply with
+          | Some ms -> Alcotest.(check bool) "retry hint" true (ms > 0)
+          | None -> Alcotest.fail "overloaded reply without retry_after_ms")
+      | Error msg -> Alcotest.failf "shed reply lost: %s" msg);
+      (* Retrying with backoff eventually gets through — the
+         overloaded path degrades, it does not hang. *)
+      match Client.request_retry ~attempts:50 c Protocol.ping with
+      | Ok reply ->
+          Alcotest.(check string)
+            "retry succeeds once drained" "ok"
             (Protocol.reply_status reply)
-      | Error msg -> Alcotest.failf "sleeper failed: %s" msg)
+      | Error msg -> Alcotest.failf "retry never got through: %s" msg);
+  match Domain.join sleeper with
+  | Ok reply ->
+      Alcotest.(check string)
+        "sleeper completed" "ok"
+        (Protocol.reply_status reply)
+  | Error msg -> Alcotest.failf "sleeper failed: %s" msg
+
+let test_overload_shed () = with_daemon ~jobs:1 ~max_pending:1 overload_shed
+
+let test_router_overload_shed () =
+  Testutil.with_temp_dir "router-shed" (fun data_dir ->
+      let r =
+        Vp_router.Router.create ~port:0 ~jobs:1 ~max_pending:1 ~shards:1
+          ~data_dir ()
+      in
+      let server = Domain.spawn (fun () -> Vp_router.Router.serve r) in
+      Fun.protect
+        ~finally:(fun () ->
+          Vp_router.Router.stop r;
+          Domain.join server)
+        (fun () -> overload_shed (Vp_router.Router.port r)))
+
+(* A server that never ends its reply line must not make the client
+   buffer without bound: past the frame limit plus 4 KiB the exchange
+   fails. The fake server sends one byte more, then half-closes, so a
+   looser bound shows up as a different error rather than a hang. *)
+let test_client_reply_bound () =
+  let lfd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 1;
+  let port =
+    match Unix.getsockname lfd with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> assert false
+  in
+  let server =
+    Domain.spawn (fun () ->
+        let fd, _ = Unix.accept lfd in
+        Testutil.send_raw fd (String.make (Protocol.max_frame_bytes + 4097) 'a');
+        Unix.shutdown fd Unix.SHUTDOWN_SEND;
+        let buf = Bytes.create 4096 in
+        while (try Unix.read fd buf 0 4096 with Unix.Unix_error _ -> 0) > 0 do
+          ()
+        done;
+        Unix.close fd)
+  in
+  with_client port (fun c ->
+      match Client.request c Protocol.ping with
+      | Ok _ -> Alcotest.fail "an unterminated reply was accepted"
+      | Error msg ->
+          Alcotest.(check bool) msg true (Testutil.contains msg "exceeds"));
+  Domain.join server;
+  Unix.close lfd
 
 let test_shutdown_op () =
   let d = Vp_server.Daemon.create ~port:0 ~jobs:2 () in
@@ -364,6 +413,10 @@ let suite =
       test_protocol_robustness;
     Alcotest.test_case "overload sheds with retry-after" `Quick
       test_overload_shed;
+    Alcotest.test_case "router overload sheds with retry-after" `Quick
+      test_router_overload_shed;
+    Alcotest.test_case "client bounds reply lines" `Quick
+      test_client_reply_bound;
     Alcotest.test_case "wire shutdown drains" `Quick test_shutdown_op;
     Alcotest.test_case "client --script replay" `Quick test_script_replay;
     Alcotest.test_case "client --script parse errors" `Quick
