@@ -691,11 +691,13 @@ let server_section () =
                      cost.query_costs counter shows how much per-query
                      work each path actually did.
 
-   hillclimb-sweep   HillClimb over the TPC-H line-up with the delta
-                     path disabled, then enabled. Layouts and cost bits
-                     must be byte-identical, and the full path must
-                     re-cost at least 5x as many queries as the delta
-                     path; either violation exits 1 (the CI gate).
+   hillclimb-sweep   HillClimb over the TPC-H line-up with requests
+                     built without a delta factory (priced by
+                     [Delta.full]), then with one. Layouts and cost
+                     bits must be byte-identical, and the full path
+                     must re-cost at least 5x as many queries as the
+                     delta path; either violation exits 1 (the CI
+                     gate).
 
    bruteforce-scale  full enumeration of Bell(11) = 678,570 candidate
                      layouts twice: 12 synthetic attributes on the full
@@ -782,13 +784,16 @@ let sweep_rounds = 3
 let oracle_sweep () =
   let disk = Vp_experiments.Common.disk in
   let workloads = Vp_benchmarks.Tpch.workloads ~sf:Vp_experiments.Common.sf in
-  let run_sweep () =
-    (* One session per workload, shared by all rounds of this path. *)
+  let run_sweep ~with_delta =
+    (* One session per workload, shared by all rounds of the delta path;
+       the full path's requests carry no factory. *)
     let prepared =
       List.map
         (fun w ->
-          let s = Vp_cost.Io_model.Incremental.create disk w in
-          (w, fun () -> Vp_cost.Io_model.Incremental.session s))
+          if with_delta then
+            let s = Vp_cost.Io_model.Incremental.create disk w in
+            (w, Some (fun () -> Vp_cost.Io_model.Incremental.session s))
+          else (w, None))
         workloads
     in
     let qc0 = counter_now "cost.query_costs" in
@@ -801,7 +806,7 @@ let oracle_sweep () =
                   let oracle = Vp_cost.Io_model.oracle disk w in
                   let r =
                     Partitioner.exec Vp_algorithms.Hillclimb.algorithm
-                      (Partitioner.Request.make ~delta ~cost:oracle w)
+                      (Partitioner.Request.make ?delta ~cost:oracle w)
                   in
                   ( Partitioning.to_string r.Partitioner.Response.partitioning,
                     Int64.bits_of_float r.Partitioner.Response.cost,
@@ -811,13 +816,8 @@ let oracle_sweep () =
     in
     (outcomes, wall, counter_now "cost.query_costs" - qc0)
   in
-  let full, t_full, full_qc =
-    Partitioner.Delta.set_enabled false;
-    Fun.protect
-      ~finally:(fun () -> Partitioner.Delta.set_enabled true)
-      run_sweep
-  in
-  let delta, t_delta, delta_qc = run_sweep () in
+  let full, t_full, full_qc = run_sweep ~with_delta:false in
+  let delta, t_delta, delta_qc = run_sweep ~with_delta:true in
   let mismatches =
     List.filter_map
       (fun ((p1, c1, _), (p2, c2, _)) ->
@@ -865,20 +865,18 @@ let oracle_sweep () =
 let oracle_bruteforce () =
   let disk = Vp_experiments.Common.disk in
   let algo = Vp_algorithms.Brute_force.make () in
-  let run ~enabled w =
-    Partitioner.Delta.set_enabled enabled;
-    Fun.protect
-      ~finally:(fun () -> Partitioner.Delta.set_enabled true)
-      (fun () ->
-        let qc0 = counter_now "cost.query_costs" in
-        let oracle = Vp_cost.Io_model.oracle disk w in
-        let delta = Vp_cost.Io_model.Incremental.factory disk w in
-        let r, wall =
-          time (fun () ->
-              Partitioner.exec algo
-                (Partitioner.Request.make ~delta ~cost:oracle w))
-        in
-        (r, wall, counter_now "cost.query_costs" - qc0))
+  let run ~with_delta w =
+    let qc0 = counter_now "cost.query_costs" in
+    let oracle = Vp_cost.Io_model.oracle disk w in
+    let delta =
+      if with_delta then Some (Vp_cost.Io_model.Incremental.factory disk w)
+      else None
+    in
+    let r, wall =
+      time (fun () ->
+          Partitioner.exec algo (Partitioner.Request.make ?delta ~cost:oracle w))
+    in
+    (r, wall, counter_now "cost.query_costs" - qc0)
   in
   let w12 =
     Vp_benchmarks.Synthetic.workload ~seed:1L ~rows:100_000 ~attributes:12
@@ -889,8 +887,8 @@ let oracle_bruteforce () =
       ~clusters:4 ~queries:16 ~scatter:0.1 ()
   in
   let atoms w = List.length (Workload.primary_partitions w) in
-  let r12, t12, qc12 = run ~enabled:false w12 in
-  let r15, t15, qc15 = run ~enabled:true w15 in
+  let r12, t12, qc12 = run ~with_delta:false w12 in
+  let r15, t15, qc15 = run ~with_delta:true w15 in
   let entry ~phase ~table ~attributes ~atoms ~full ~wall ~qc =
     {
       Vp_observe.Bench_report.phase;

@@ -104,7 +104,7 @@ let jobs_of = function
 
 let oracle_of model disk w =
   match model with
-  | `Hdd -> Vp_parallel.Cost_cache.oracle disk w
+  | `Hdd -> Vp_parallel.Cost_cache.query_oracle disk w
   | `Mm -> Vp_cost.Memory_model.oracle Vp_cost.Memory_model.default w
 
 let table_arg =

@@ -26,22 +26,11 @@ let search ~atoms ~lower_bound ~max_candidates ~budget ~delta workload oracle =
              "Brute_force: search space B(%d) = %d exceeds %d candidates and \
               no lower bound was provided"
              m space max_candidates));
-  (* Per-run cost cache: the seed climb re-costs almost the same
-     neighbourhood each iteration, and the enumeration below revisits the
-     seed and climb intermediates. *)
-  let cache = Vp_parallel.Cost_cache.create () in
-  let cost_of =
-    match delta with
-    | None -> Vp_parallel.Cost_cache.counted cache ~fingerprint:"" oracle
-    | Some s ->
-        (* Successive enumeration leaves differ in the placement of the
-           last few atoms, so [goto] re-costs only the queries touching
-           those; cache keys and hit/miss traffic stay those of the full
-           path. *)
-        fun p ->
-          Vp_parallel.Cost_cache.counted_via cache ~fingerprint:"" oracle
-            ~compute:(fun () -> s.Partitioner.Delta.goto p)
-            p
+  (* Successive enumeration leaves differ in the placement of the last
+     few atoms, so an incremental session's [goto] re-costs only the
+     queries touching those. *)
+  let cost_of p =
+    Partitioner.Counted.probe oracle (fun () -> delta.Partitioner.Delta.goto p)
   in
   (* Under a budget, cost the row layout before anything can tick so the
      incumbent is defined (and never worse than Row) even if the budget is
@@ -53,7 +42,7 @@ let search ~atoms ~lower_bound ~max_candidates ~budget ~delta workload oracle =
   in
   (* Seed the incumbent with a greedy bottom-up merge of the atoms. *)
   let seed, _ =
-    Merge_search.climb ~cache ?delta ~budget ~n oracle (Array.to_list atom_arr)
+    Merge_search.climb ~delta ~budget ~n oracle (Array.to_list atom_arr)
   in
   (let seed_cost = cost_of seed in
    if seed_cost < !best_cost then begin

@@ -1,19 +1,11 @@
 open Vp_core
 
-let make ~name ~short_name ~cached =
-  Partitioner.timed_run_delta ~name ~short_name
+let algorithm =
+  Partitioner.timed_run_delta ~name:"HillClimb" ~short_name:"HC"
     (fun ~budget ~delta workload oracle ->
       let n = Table.attribute_count (Workload.table workload) in
-      let cache =
-        if cached then Some (Vp_parallel.Cost_cache.create ()) else None
-      in
       let start = Partitioning.groups (Partitioning.column n) in
-      Merge_search.climb ?cache ?delta ~budget ~n oracle start)
-
-let algorithm = make ~name:"HillClimb" ~short_name:"HC" ~cached:true
-
-let without_cache =
-  make ~name:"HillClimb-nocache" ~short_name:"HC0" ~cached:false
+      Merge_search.climb ~delta ~budget ~n oracle start)
 
 let with_dictionary =
   Partitioner.timed_run_budgeted ~name:"HillClimb+dict" ~short_name:"HCd"

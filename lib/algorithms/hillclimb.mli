@@ -6,22 +6,19 @@
     The paper notes that the original algorithm precomputes a dictionary of
     all column-group costs, which grows to gigabytes for wide tables, and
     that dropping the dictionary dramatically improves the runtime. The
-    default {!algorithm} keeps the spirit of the improved version but
-    memoizes candidate costs in a per-run {!Vp_parallel.Cost_cache}:
-    successive climb iterations re-evaluate almost the same neighbourhood,
-    so repeated candidates are served from the cache (counted as candidates,
-    not cost calls) without the gigabyte-scale precomputation of the
-    original. {!without_cache} evaluates every candidate afresh, for the
-    ablation benchmark. *)
+    default {!algorithm} is the improved version: it keeps no memo of its
+    own and prices each candidate merge with one probe of the request's
+    delta session ({!Vp_core.Partitioner.Delta}). Each iteration's
+    candidates have one group fewer than the last iteration's, so a climb
+    never prices the same layout twice and a per-run memo of whole
+    partitionings would never hit. *)
 
 val algorithm : Vp_core.Partitioner.t
-(** HillClimb with per-run cost memoization (the default). *)
-
-val without_cache : Vp_core.Partitioner.t
-(** HillClimb evaluating every candidate through the cost model, even
-    repeated ones — the uncached baseline of ablation A1. *)
+(** HillClimb pricing candidates through the request's delta session
+    (the default). *)
 
 val with_dictionary : Vp_core.Partitioner.t
 (** Original HillClimb: memoises candidate partitioning costs in a
-    dictionary keyed by the partitioning. Finds the same layouts; kept as
-    an independent implementation to cross-check {!algorithm}'s cache. *)
+    dictionary keyed by the partitioning and re-costs every candidate in
+    full. Finds the same layouts; kept as an independent implementation
+    to cross-check {!algorithm} and for ablation A1. *)

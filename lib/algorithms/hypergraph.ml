@@ -47,15 +47,8 @@ let search ~budget ~delta workload oracle =
   let n = Table.attribute_count (Workload.table workload) in
   let queries = Workload.queries workload in
   let atoms = sort_blocks (Workload.primary_partitions workload) in
-  let cache = Vp_parallel.Cost_cache.create () in
-  let cost_of =
-    match delta with
-    | None -> Vp_parallel.Cost_cache.counted cache ~fingerprint:"" oracle
-    | Some s ->
-        fun p ->
-          Vp_parallel.Cost_cache.counted_via cache ~fingerprint:"" oracle
-            ~compute:(fun () -> s.Partitioner.Delta.goto p)
-            p
+  let cost_of p =
+    Partitioner.Counted.probe oracle (fun () -> delta.Partitioner.Delta.goto p)
   in
   (* The start layout is costed before anything can tick, so even a
      zero-step (or already-cancelled) budget answers with a valid

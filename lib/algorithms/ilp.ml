@@ -69,15 +69,8 @@ let search ~atoms ~lower_bound ~max_candidates ~budget ~delta workload oracle =
              "Ilp: search space B(%d) = %d exceeds %d candidates and no \
               lower bound was provided"
              m space max_candidates));
-  let cache = Vp_parallel.Cost_cache.create () in
-  let cost_of =
-    match delta with
-    | None -> Vp_parallel.Cost_cache.counted cache ~fingerprint:"" oracle
-    | Some s ->
-        fun p ->
-          Vp_parallel.Cost_cache.counted_via cache ~fingerprint:"" oracle
-            ~compute:(fun () -> s.Partitioner.Delta.goto p)
-            p
+  let cost_of p =
+    Partitioner.Counted.probe oracle (fun () -> delta.Partitioner.Delta.goto p)
   in
   (* Incumbent before anything can tick, so a cancelled or exhausted run
      still answers with a valid layout no worse than Row. *)
@@ -87,7 +80,7 @@ let search ~atoms ~lower_bound ~max_candidates ~budget ~delta workload oracle =
       (if Vp_robust.Budget.is_limited budget then cost_of !best else infinity)
   in
   let seed, _ =
-    Merge_search.climb ~cache ?delta ~budget ~n oracle (Array.to_list atom_arr)
+    Merge_search.climb ~delta ~budget ~n oracle (Array.to_list atom_arr)
   in
   (let seed_cost = cost_of seed in
    if seed_cost < !best_cost then begin

@@ -7,93 +7,51 @@ type merge = {
   group_b : Attr_set.t;
 }
 
-(* Candidate evaluation, optionally memoized through a per-run cost cache.
-   The fingerprint is constant ("") because a per-run cache only ever sees
-   one (workload, disk) instance — the oracle it wraps. With a delta
-   session, the number comes from [session.goto] (rebasing the session at
-   [p]) through [Counted.probe] / [counted_via], so budgets, statistics,
-   fault indices and cache hit/miss sequences are exactly those of the
-   full-cost path. *)
-let evaluator ?cache ?delta oracle =
-  match delta with
-  | None -> (
-      match cache with
-      | None -> Partitioner.Counted.cost oracle
-      | Some c -> Vp_parallel.Cost_cache.counted c ~fingerprint:"" oracle)
-  | Some s -> (
-      let compute p () = s.Partitioner.Delta.goto p in
-      match cache with
-      | None ->
-          fun p -> Partitioner.Counted.probe oracle (compute p)
-      | Some c ->
-          fun p ->
-            Vp_parallel.Cost_cache.counted_via c ~fingerprint:"" oracle
-              ~compute:(compute p) p)
-
-let best_pair_merge ?(allowed = fun _ _ -> true) ?cache ?delta
+let best_pair_merge ?(allowed = fun _ _ -> true) ~delta
     ?(budget = Vp_robust.Budget.unlimited) ~n oracle groups =
   let arr = Array.of_list groups in
   let k = Array.length arr in
   if k < 2 then None
   else begin
-    (* Rebase the session at the scanned partitioning first: a cache hit
-       on an earlier evaluation may have skipped [goto], leaving the
-       session based elsewhere. Rebasing to the current base is free. *)
-    (match delta with
-    | Some s ->
-        ignore (s.Partitioner.Delta.goto (Partitioning.of_groups ~n groups))
-    | None -> ());
-    let pair_cost =
-      match delta with
-      | None ->
-          let cost_of = evaluator ?cache oracle in
-          fun candidate _ _ -> cost_of candidate
-      | Some s -> (
-          let compute i j () = s.Partitioner.Delta.cost_merge arr.(i) arr.(j) in
-          match cache with
-          | None ->
-              fun _ i j -> Partitioner.Counted.probe oracle (compute i j)
-          | Some c ->
-              fun candidate i j ->
-                Vp_parallel.Cost_cache.counted_via c ~fingerprint:"" oracle
-                  ~compute:(compute i j) candidate)
-    in
+    (* Rebase the session at the scanned partitioning: the previous scan
+       only peeked, so the session still sits where the last [goto] left
+       it. Rebasing to the current base is free. *)
+    let scanned = Partitioning.of_groups ~n groups in
+    ignore (delta.Partitioner.Delta.goto scanned : float);
     let best = ref None in
     for i = 0 to k - 2 do
       for j = i + 1 to k - 1 do
         if allowed arr.(i) arr.(j) then begin
           Vp_robust.Budget.tick budget;
-          let candidate_groups =
-            Attr_set.union arr.(i) arr.(j)
-            :: (Array.to_list arr |> List.filteri (fun x _ -> x <> i && x <> j))
+          let cost =
+            Partitioner.Counted.probe oracle (fun () ->
+                delta.Partitioner.Delta.cost_merge arr.(i) arr.(j))
           in
-          let candidate = Partitioning.of_groups ~n candidate_groups in
-          let cost = pair_cost candidate i j in
           match !best with
-          | Some m when m.merged_cost <= cost -> ()
-          | _ ->
-              best :=
-                Some
-                  {
-                    merged = candidate;
-                    merged_cost = cost;
-                    group_a = arr.(i);
-                    group_b = arr.(j);
-                  }
+          | Some (_, _, c) when c <= cost -> ()
+          | _ -> best := Some (i, j, cost)
         end
       done
     done;
-    !best
+    Option.map
+      (fun (i, j, cost) ->
+        {
+          merged = Partitioning.merge_groups scanned arr.(i) arr.(j);
+          merged_cost = cost;
+          group_a = arr.(i);
+          group_b = arr.(j);
+        })
+      !best
   end
 
-let climb ?(allowed = fun _ _ -> true) ?cache ?delta
+let climb ?(allowed = fun _ _ -> true) ~delta
     ?(budget = Vp_robust.Budget.unlimited) ~n oracle groups =
   (* A partially scanned neighbourhood may miss the best merge, so on
      exhaustion we abandon the interrupted scan and return the incumbent:
      each committed merge was strictly cheaper, keeping the best-so-far
      cost monotone in the budget. *)
   let rec go groups current current_cost iterations =
-    match best_pair_merge ~allowed ?cache ?delta ~budget ~n oracle groups with
+    match best_pair_merge ~allowed ~delta ~budget ~n oracle groups with
     | Some m when m.merged_cost < current_cost ->
         go (Partitioning.groups m.merged) m.merged m.merged_cost (iterations + 1)
     | Some _ | None -> (current, iterations)
@@ -102,5 +60,8 @@ let climb ?(allowed = fun _ _ -> true) ?cache ?delta
   let start = Partitioning.of_groups ~n groups in
   if Vp_robust.Budget.exhausted budget then (start, 0)
   else
-    let start_cost = evaluator ?cache ?delta oracle start in
+    let start_cost =
+      Partitioner.Counted.probe oracle (fun () ->
+          delta.Partitioner.Delta.goto start)
+    in
     go groups start start_cost 0

@@ -1,8 +1,8 @@
 open Vp_core
 
 (** Shared bottom-up search step: among all pairwise merges of the current
-    groups, find the one with the lowest cost. Used by HillClimb, AutoPart
-    and HYRISE. *)
+    groups, find the one with the lowest cost. Used by HillClimb, AutoPart,
+    HYRISE and the seed climbs of BruteForce and ILP. *)
 
 type merge = {
   merged : Partitioning.t;  (** Partitioning after the merge. *)
@@ -13,8 +13,7 @@ type merge = {
 
 val best_pair_merge :
   ?allowed:(Attr_set.t -> Attr_set.t -> bool) ->
-  ?cache:Vp_parallel.Cost_cache.t ->
-  ?delta:Partitioner.Delta.session ->
+  delta:Partitioner.Delta.session ->
   ?budget:Vp_robust.Budget.t ->
   n:int ->
   Partitioner.Counted.oracle ->
@@ -26,19 +25,12 @@ val best_pair_merge :
     restrict merging within a subgraph). Ties go to the earliest pair in
     canonical group order.
 
-    When [cache] is given, candidate costs are memoized through it (hits
-    are counted as candidates, not cost calls). Successive climb iterations
-    re-evaluate almost the whole neighbourhood — only pairs involving the
-    freshly merged group are new — so a per-run cache turns the k²/2
-    evaluations per iteration into O(k) cost-model calls.
-
-    When [delta] is given, the scan first rebases the session at the
-    scanned partitioning, then prices each pair with
-    [Delta.session.cost_merge] instead of a full re-cost — through
-    {!Partitioner.Counted.probe} (and {!Vp_parallel.Cost_cache.counted_via}
-    when [cache] is also given), so ticks, counters, fault indices and
-    cache traffic are byte-identical to the full path, and so are the
-    costs (the delta oracle's contract).
+    The scan first rebases [delta] at the scanned partitioning, then
+    prices each pair with [Delta.session.cost_merge] through
+    {!Partitioner.Counted.probe}: one cost call and one candidate per
+    pair. Ticks, counters and fault indices are therefore the same for
+    every session, and so are the costs (the delta oracle's contract).
+    Only the winning pair's partitioning is built.
 
     Each allowed pair ticks [budget] (default
     {!Vp_robust.Budget.unlimited}) before evaluation, so exhaustion
@@ -46,8 +38,7 @@ val best_pair_merge :
 
 val climb :
   ?allowed:(Attr_set.t -> Attr_set.t -> bool) ->
-  ?cache:Vp_parallel.Cost_cache.t ->
-  ?delta:Partitioner.Delta.session ->
+  delta:Partitioner.Delta.session ->
   ?budget:Vp_robust.Budget.t ->
   n:int ->
   Partitioner.Counted.oracle ->
@@ -55,8 +46,9 @@ val climb :
   Partitioning.t * int
 (** Greedy merging to a local optimum: repeatedly apply the best pairwise
     merge while it strictly improves the cost. Returns the final
-    partitioning and the number of merge iterations performed. [cache] as
-    in {!best_pair_merge}.
+    partitioning and the number of merge iterations performed. The start
+    layout is priced by one {!Partitioner.Counted.probe} of
+    [delta.goto].
 
     When [budget] exhausts, returns the best partitioning committed so far
     (at worst the starting one) instead of raising: a merge found by a

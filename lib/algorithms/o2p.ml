@@ -117,13 +117,9 @@ let algorithm =
            budgeted run keeps a cost incumbent over the deterministic
            sequence of committed states, seeded with the unsplit table
            (= the row layout) before any tick. *)
-        let price =
-          match delta with
-          | None -> fun p -> Partitioner.Counted.cost oracle p
-          | Some s ->
-              fun p ->
-                Partitioner.Counted.probe oracle (fun () ->
-                    s.Partitioner.Delta.goto p)
+        let price p =
+          Partitioner.Counted.probe oracle (fun () ->
+              delta.Partitioner.Delta.goto p)
         in
         let initial = [ { start = 0; len = Array.length order } ] in
         let best = ref (partitioning_of_segments ~n order initial) in

@@ -20,16 +20,48 @@ module Delta = struct
 
   type factory = unit -> session
 
-  let disabled_by_env () =
-    match Sys.getenv_opt "VP_NO_DELTA" with
-    | Some ("1" | "true" | "yes") -> true
-    | Some _ | None -> false
-
-  let flag = Atomic.make (not (disabled_by_env ()))
-
-  let enabled () = Atomic.get flag
-
-  let set_enabled b = Atomic.set flag b
+  (* The reference session: every answer is one call of [cost] on the
+     moved-to partitioning. Only [goto] to the current base is free. *)
+  let full cost () =
+    let base = ref None in
+    let based () =
+      match !base with
+      | Some b -> b
+      | None -> invalid_arg "Delta.full: no base yet (goto first)"
+    in
+    let price move = cost (move (fst (based ()))) in
+    {
+      base_cost = (fun () -> snd (based ()));
+      goto =
+        (fun p ->
+          match !base with
+          | Some (b, c) when Partitioning.equal b p -> c
+          | _ ->
+              let c = cost p in
+              base := Some (p, c);
+              c);
+      cost_merge =
+        (fun g1 g2 -> price (fun b -> Partitioning.merge_groups b g1 g2));
+      cost_split =
+        (fun ~group ~sub ->
+          price (fun b -> Partitioning.split_group b group sub));
+      cost_move =
+        (fun ~attr ~dst ->
+          let b, c = based () in
+          let src = Partitioning.group_of b attr in
+          if not (Partitioning.mem_group b dst) then
+            invalid_arg
+              (Printf.sprintf "Delta.full.cost_move: %s is not a group"
+                 (Attr_set.to_string dst))
+          else if Attr_set.mem attr dst then c
+          else if Attr_set.cardinal src = 1 then
+            cost (Partitioning.merge_groups b src dst)
+          else
+            let a = Attr_set.singleton attr in
+            cost
+              (Partitioning.merge_groups (Partitioning.split_group b src a) a
+                 dst));
+    }
 end
 
 module Request = struct
@@ -46,8 +78,6 @@ module Request = struct
     { workload; cost; budget; label; delta; cancel }
 
   let workload r = r.workload
-
-  let delta r = if Delta.enabled () then r.delta else None
 
   let cancel r = r.cancel
 
@@ -178,12 +208,15 @@ let run_builder ~name ~short_name ~session body =
 
 let timed_run_budgeted ~name ~short_name body =
   run_builder ~name ~short_name
-    ~session:(fun _ -> None)
-    (fun ~budget ~delta:_ workload oracle -> body ~budget workload oracle)
+    ~session:(fun _ -> ())
+    (fun ~budget ~delta:() workload oracle -> body ~budget workload oracle)
 
 let timed_run_delta ~name ~short_name body =
   run_builder ~name ~short_name
-    ~session:(fun r -> Option.map (fun f -> f ()) (Request.delta r))
+    ~session:(fun (r : Request.t) ->
+      match r.delta with
+      | Some factory -> factory ()
+      | None -> Delta.full r.cost ())
     body
 
 let timed_run ~name ~short_name body =

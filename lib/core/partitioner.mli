@@ -28,19 +28,20 @@ type status =
           DESIGN.md "Degradation contract"); [steps] and
           [elapsed_seconds] describe the budget at exhaustion. *)
 
-(** Incremental cost-delta sessions (DESIGN.md section 12). A session is
-    based at one partitioning and answers "what would the full workload
-    cost be after this one move?" by re-costing only the queries whose
-    touched-partition set changes. Implemented by
-    [Vp_cost.Io_model.Incremental]; the type lives here so algorithm
-    neighbor loops can consume it without a dependency on [lib/cost].
+(** Cost-delta sessions (DESIGN.md section 12). A session is based at
+    one partitioning and answers "what would the full workload cost be
+    after this one move?". The incremental implementation,
+    [Vp_cost.Io_model.Incremental], re-costs only the queries whose
+    touched-partition set changes; {!full} re-costs the whole moved-to
+    partitioning. The type lives here so algorithm neighbor loops can
+    consume it without a dependency on [lib/cost].
 
-    Every cost a session returns is bit-identical to a full re-cost of
-    the moved-to partitioning: per-query costs are cached, only affected
-    queries are recomputed, and the workload total is re-summed over all
-    queries in the oracle's order — so float non-associativity never
-    shows through, and search trajectories (hence layouts) match the
-    full-cost path exactly. *)
+    Every cost an incremental session returns is bit-identical to a full
+    re-cost of the moved-to partitioning: per-query costs are cached,
+    only affected queries are recomputed, and the workload total is
+    re-summed over all queries in the oracle's order — so float
+    non-associativity never shows through, and search trajectories
+    (hence layouts) match the {!full} session exactly. *)
 module Delta : sig
   type session = {
     base_cost : unit -> float;
@@ -66,19 +67,23 @@ module Delta : sig
   (** Sessions are single-threaded scratch state; a factory lets each
       worker domain (or each algorithm run) build its own. *)
 
-  val enabled : unit -> bool
-  (** The process-wide kill switch. Initialized from [VP_NO_DELTA]
-      ("1"/"true"/"yes" disables the delta path at startup). *)
-
-  val set_enabled : bool -> unit
-  (** Flip the kill switch at runtime (used by tests and the oracle
-      bench to compare both paths in one process). *)
+  val full : cost_fn -> factory
+  (** [full cost] makes reference sessions that price every move by one
+      call of [cost] on the moved-to partitioning, built with
+      {!Partitioning.merge_groups} and {!Partitioning.split_group} — so
+      they raise [Invalid_argument] wherever those do. A [goto] to the
+      current base is free; any other [goto] is one full re-cost. The
+      first call on a session must be [goto] (before it, the session has
+      no base and every other call raises [Invalid_argument]). This is
+      the session {!timed_run_delta} hands its body when the request
+      carries no factory. *)
 end
 
 (** What a partitioner is asked to do: one record instead of the
     optional-argument soup that accreted on [run] across releases. Build
     one with {!Request.make}; unspecified fields keep today's ambient
-    behaviour (ambient budget, no label, full re-costing). *)
+    behaviour (ambient budget, no label, full re-costing through
+    {!Delta.full}). *)
 module Request : sig
   type t = {
     workload : Workload.t;
@@ -91,8 +96,8 @@ module Request : sig
     delta : Delta.factory option;
         (** Optional incremental-oracle factory. Must price exactly the
             same cost model as [cost]; algorithms built with
-            {!timed_run_delta} use it for neighbor probes when present
-            and the kill switch is on. *)
+            {!timed_run_delta} use it for neighbor probes when present,
+            and {!Delta.full}[ cost] otherwise. *)
     cancel : bool Atomic.t option;
         (** Optional shared cancellation signal. It is attached to the
             effective budget ({!Vp_robust.Budget.with_cancel}), so it is
@@ -112,10 +117,6 @@ module Request : sig
     t
 
   val workload : t -> Workload.t
-
-  val delta : t -> Delta.factory option
-  (** The request's delta factory, or [None] when absent or globally
-      disabled via {!Delta.set_enabled} / [VP_NO_DELTA]. *)
 
   val cancel : t -> bool Atomic.t option
 
@@ -240,14 +241,15 @@ val timed_run_delta :
   name:string ->
   short_name:string ->
   (budget:Vp_robust.Budget.t ->
-  delta:Delta.session option ->
+  delta:Delta.session ->
   Workload.t ->
   Counted.oracle ->
   Partitioning.t * int) ->
   t
 (** Like {!timed_run_budgeted}, but the body additionally receives a
-    fresh delta session built from the request's factory — [None] when
-    the request has no factory or the {!Delta} kill switch is off, in
-    which case the body must fall back to full re-costing through the
-    counted oracle. Delta probes must go through {!Counted.probe} so the
-    two paths stay observationally identical. *)
+    fresh delta session: one built from the request's factory when it
+    has one, else {!Delta.full} of the request's cost oracle. The body
+    prices every candidate through {!Counted.probe} on that session, so
+    a request with and without a factory is observationally identical
+    (same layouts, cost bits, ticks, fault indices and stats) and each
+    probe counts one cost call. *)

@@ -80,9 +80,9 @@ val oracle : Disk.t -> Workload.t -> Partitioner.cost_fn
     delta is exactly the difference of two such full costs: search
     trajectories, and hence layouts, match the full-cost path byte for
     byte. Sessions are single-threaded; build one per domain via
-    {!Incremental.factory}. The [VP_NO_DELTA] kill switch
-    ({!Vp_core.Partitioner.Delta.set_enabled}) routes algorithms back to
-    full re-costing. *)
+    {!Incremental.factory}. A request without a factory is priced by
+    {!Vp_core.Partitioner.Delta.full}, the full re-costing reference these
+    sessions are tested against. *)
 module Incremental : sig
   type t
   (** A mutable delta session: base partitioning + cached per-query

@@ -34,13 +34,12 @@ let hillclimb_dictionary () =
   Vp_report.Ascii.table
     ~title:
       "Ablation A1: HillClimb candidate-cost memoization (the paper \
-       dropped the original's precomputed dictionary for speed; all three \
+       dropped the original's precomputed dictionary for speed; both \
        variants must find identical layouts)"
     ~headers
     (sweep
        [
-         ("HillClimb (no cache)", Vp_algorithms.Hillclimb.without_cache);
-         ("HillClimb (cost cache, default)", Vp_algorithms.Hillclimb.algorithm);
+         ("HillClimb (default)", Vp_algorithms.Hillclimb.algorithm);
          ("HillClimb (dictionary)", Vp_algorithms.Hillclimb.with_dictionary);
        ])
 

@@ -60,17 +60,6 @@ let context_fingerprint disk table =
     (Table.attributes table);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let fingerprint disk workload =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (context_fingerprint disk (Workload.table workload));
-  Array.iter
-    (fun q ->
-      Buffer.add_string buf
-        (Printf.sprintf "q:%d,%h;" (Attr_set.to_mask (Query.references q))
-           (Query.weight q)))
-    (Workload.queries workload);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
 (* One lookup. [on_miss] runs OUTSIDE the lock (cost evaluation can be
    expensive); concurrent misses on the same key both evaluate and store
    the same value, which is benign. *)
@@ -81,7 +70,7 @@ let lookup t key on_miss =
       t.hits <- t.hits + 1;
       Mutex.unlock t.mutex;
       if Vp_observe.Switch.stats_on () then Vp_observe.Stats.incr c_hits;
-      `Hit v
+      v
   | None ->
       t.misses <- t.misses + 1;
       Mutex.unlock t.mutex;
@@ -90,43 +79,7 @@ let lookup t key on_miss =
       Mutex.lock t.mutex;
       if not (Hashtbl.mem t.table key) then Hashtbl.add t.table key v;
       Mutex.unlock t.mutex;
-      `Miss v
-
-let key_of ~fingerprint p = fingerprint ^ "|" ^ Partitioning.to_string p
-
-let memoize t ~fingerprint f =
-  fun p ->
-    if not (Atomic.get enabled) then f p
-    else
-      match lookup t (key_of ~fingerprint p) (fun () -> f p) with
-      | `Hit v | `Miss v -> v
-
-let counted t ~fingerprint oracle p =
-  if not (Atomic.get enabled) then Partitioner.Counted.cost oracle p
-  else
-    match
-      lookup t (key_of ~fingerprint p) (fun () ->
-          Partitioner.Counted.cost oracle p)
-    with
-    | `Hit v ->
-        Partitioner.Counted.note_candidate oracle;
-        v
-    | `Miss v -> v
-
-let counted_via t ~fingerprint oracle ~compute p =
-  if not (Atomic.get enabled) then Partitioner.Counted.probe oracle compute
-  else
-    match lookup t (key_of ~fingerprint p) (fun () ->
-              Partitioner.Counted.probe oracle compute)
-    with
-    | `Hit v ->
-        Partitioner.Counted.note_candidate oracle;
-        v
-    | `Miss v -> v
-
-let oracle ?(cache = global) disk workload =
-  let fp = fingerprint disk workload in
-  memoize cache ~fingerprint:fp (Vp_cost.Io_model.oracle disk workload)
+      v
 
 (* Query-grained memoization. A query's cost is fully determined by the
    set of partitions it reads (see [Io_model.query_cost_groups]), so the
@@ -167,11 +120,8 @@ let query_oracle ?(cache = global) disk workload =
                    referenced)
           in
           let c =
-            match
-              lookup cache key (fun () ->
-                  Vp_cost.Io_model.query_cost_groups disk table referenced)
-            with
-            | `Hit v | `Miss v -> v
+            lookup cache key (fun () ->
+                Vp_cost.Io_model.query_cost_groups disk table referenced)
           in
           acc := !acc +. (Query.weight q *. c))
         queries;

@@ -1,17 +1,19 @@
-(** Memoized cost evaluation.
+(** Memoized cost evaluation, one entry per query.
 
-    Every partitioning algorithm and most experiments evaluate the same
-    I/O cost formula over and over: a hill-climb re-costs almost the whole
-    candidate neighbourhood each iteration, and the HillClimb-class
-    algorithms explore heavily overlapping candidate sets on the same
-    (table, workload, disk) instance. A [Cost_cache.t] memoizes
-    {!Vp_cost.Io_model} workload costs keyed on the {e workload
-    fingerprint} (disk profile + table schema + query footprints and
-    weights) and the candidate partitioning, with hit/miss counters.
+    Experiments and the CLI evaluate the same I/O cost formula over and
+    over, and the unit that actually repeats is a query reading a given
+    set of partitions: candidate partitionings that differ elsewhere, and
+    workloads that re-pose the same query, share it. A [Cost_cache.t]
+    memoizes {!Vp_cost.Io_model} per-query costs keyed on the disk profile
+    and table schema ({!context_fingerprint}), the query footprint and the
+    referenced partitions, with hit/miss counters.
 
     Caching never changes a result: a cached entry is exactly the float the
     cost model returned, so searches take identical trajectories with the
     cache on or off — only faster. All operations are domain-safe.
+    Searches keep no memo of their own: they price candidates through a
+    delta session ({!Vp_core.Partitioner.Delta}), whose incremental form
+    has its own per-query memo.
 
     A process-wide kill switch ({!set_caching_enabled}) turns every cache
     into a transparent pass-through; the benchmark harness uses it to time
@@ -46,57 +48,13 @@ val context_fingerprint : Vp_cost.Disk.t -> Vp_core.Table.t -> string
     {e per-query} cost depends on besides the partitions the query reads.
     Keys built from it stay valid across workloads over the same table. *)
 
-val fingerprint : Vp_cost.Disk.t -> Vp_core.Workload.t -> string
-(** A digest of everything the I/O cost of a partitioning depends on: the
-    disk profile, the table schema (names, widths, row count) and every
-    query's reference set and weight. Two workloads with equal fingerprints
-    have equal costs for every partitioning. *)
-
-val memoize :
-  t -> fingerprint:string -> Vp_core.Partitioner.cost_fn ->
-  Vp_core.Partitioner.cost_fn
-(** [memoize cache ~fingerprint f] returns [f] memoized under
-    [(fingerprint, partitioning)] keys. *)
-
-val counted :
-  t ->
-  fingerprint:string ->
-  Vp_core.Partitioner.Counted.oracle ->
-  Vp_core.Partitioning.t ->
-  float
-(** Like {!memoize} but for the counted oracles algorithm bodies use: a
-    miss evaluates through {!Vp_core.Partitioner.Counted.cost} (counting a
-    cost call), a hit only notes a candidate — so
-    [stats.candidates - stats.cost_calls] of a run is its cache-hit
-    count. *)
-
-val counted_via :
-  t ->
-  fingerprint:string ->
-  Vp_core.Partitioner.Counted.oracle ->
-  compute:(unit -> float) ->
-  Vp_core.Partitioning.t ->
-  float
-(** Like {!counted}, but a miss obtains the number from [compute] — an
-    incremental {!Vp_core.Partitioner.Delta.session} probe — through
-    {!Vp_core.Partitioner.Counted.probe}, instead of re-pricing [p] with
-    the wrapped full oracle. [compute] must return exactly what the full
-    oracle would for [p] (the delta oracle's contract), so cache
-    contents, hit/miss sequences and counters stay byte-identical
-    between the delta and full paths. *)
-
-val oracle : ?cache:t -> Vp_cost.Disk.t -> Vp_core.Workload.t ->
-  Vp_core.Partitioner.cost_fn
-(** A memoized {!Vp_cost.Io_model.oracle}: the workload fingerprint is
-    computed once, then every candidate evaluation goes through [cache]
-    (default {!global}) keyed on the whole partitioning. *)
-
 val query_oracle : ?cache:t -> Vp_cost.Disk.t -> Vp_core.Workload.t ->
   Vp_core.Partitioner.cost_fn
-(** Like {!oracle} but memoized {e per query}: one entry per (disk + table,
-    query footprint, referenced partitions). A query's cost only depends on
-    the partitions it reads, so entries are shared between candidate
-    partitionings that differ elsewhere, and between workloads that repeat
-    a query — which is where search loops actually repeat work. Returns
+(** A memoized {!Vp_cost.Io_model.oracle}, {e per query}: one entry per
+    (disk + table, query footprint, referenced partitions), in [cache]
+    (default {!global}). A query's cost only depends on the partitions it
+    reads, so entries are shared between candidate partitionings that
+    differ elsewhere, and between workloads that repeat a query — which
+    is where search loops actually repeat work. Returns
     bit-identical results to {!Vp_cost.Io_model.workload_cost} (same
     accumulation order). One cache lookup per query per evaluation. *)

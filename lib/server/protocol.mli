@@ -16,10 +16,12 @@ open Vp_core
       session count.
     - [partition] — a one-shot panel run: an inline table + query
       footprints, an algorithm name, an optional deadline/step budget;
-      answers the layout, its cost and the degradation status
-      ({!Vp_core.Partitioner.status}). The name ["portfolio"] (v4)
-      races every registered entrant under the shared budget; the reply
-      then also carries [winner] and the [entrants] audit (see
+      answers the layout, its cost, the degradation status
+      ({!Vp_core.Partitioner.status}) and [cost_calls], the number of
+      cost probes the search made (for the delta-session searches,
+      every candidate it priced). The name ["portfolio"] (v4) races
+      every registered entrant under the shared budget; the reply then
+      also carries [winner] and the [entrants] audit (see
       {!entrant_summary}).
     - [open]/[ingest]/[layout]/[history]/[close] — a named
       {!Vp_online.Service} session per table, ingesting one query per
@@ -212,6 +214,8 @@ type entrant_summary = {
   entrant_cost : float;  (** [nan] when the field is absent. *)
   entrant_status : string;  (** ["complete"] or ["timed_out"]. *)
   entrant_cost_calls : int;
+      (** The entrant's cost probes, counted like the reply's
+          [cost_calls]. *)
   entrant_winner : bool;
 }
 

@@ -211,7 +211,38 @@ let test_stats_populated () =
         true
         (r.Partitioner.Response.stats.Partitioner.cost_calls
         <= r.Partitioner.Response.stats.Partitioner.candidates + 1))
-    all_algorithms
+    all_algorithms;
+  (* Searches built on [timed_run_delta] keep no memo of their own: every
+     candidate is one counted probe of the request's delta session. *)
+  List.iter
+    (fun (a : Partitioner.t) ->
+      let calls = ref 0 and candidates = ref 0 in
+      List.iter
+        (fun w ->
+          let r =
+            Partitioner.exec a
+              (Partitioner.Request.make
+                 ~delta:(Vp_cost.Io_model.Incremental.factory disk w)
+                 ~cost:(Vp_cost.Io_model.oracle disk w)
+                 w)
+          in
+          calls := !calls + r.Partitioner.Response.stats.Partitioner.cost_calls;
+          candidates :=
+            !candidates + r.Partitioner.Response.stats.Partitioner.candidates)
+        (Lazy.force tpch_workloads);
+      Alcotest.(check int)
+        (a.Partitioner.name ^ " calls = candidates on TPC-H")
+        !candidates !calls)
+    Vp_algorithms.
+      [
+        Hillclimb.algorithm;
+        Autopart.algorithm;
+        Hyrise.algorithm;
+        O2p.algorithm;
+        brute_force;
+        Ilp.with_bound disk;
+        Hypergraph.algorithm;
+      ]
 
 (* --- properties on random workloads --- *)
 

@@ -1,9 +1,11 @@
-(* Differential and property tests for the incremental cost-delta oracle
-   (Vp_cost.Io_model.Incremental). The contract under test is exactness:
-   every cost a delta session returns — for rebases and for merge/split/
-   move peeks — must equal a from-scratch [Io_model.workload_cost] of the
-   target partitioning TO THE LAST BIT, so all comparisons here are on
-   [Int64.bits_of_float], never within an epsilon. *)
+(* Differential and property tests for the delta sessions: the
+   incremental cost-delta oracle (Vp_cost.Io_model.Incremental) and the
+   full re-costing reference (Partitioner.Delta.full). The contract under
+   test is exactness: every cost a delta session returns — for rebases and
+   for merge/split/move peeks — must equal a from-scratch
+   [Io_model.workload_cost] of the target partitioning TO THE LAST BIT, so
+   all comparisons here are on [Int64.bits_of_float], never within an
+   epsilon. *)
 
 open Vp_core
 module Inc = Vp_cost.Io_model.Incremental
@@ -101,10 +103,10 @@ let apply_move p = function
       in
       Partitioning.of_groups ~n:(Partitioning.attribute_count p) groups
 
-let peek_cost t = function
-  | Merge (a, b) -> Inc.cost_merge t a b
-  | Split (g, sub) -> Inc.cost_split t ~group:g ~sub
-  | Move (attr, dst) -> Inc.cost_move t ~attr ~dst
+let peek_cost (s : Partitioner.Delta.session) = function
+  | Merge (a, b) -> s.cost_merge a b
+  | Split (g, sub) -> s.cost_split ~group:g ~sub
+  | Move (attr, dst) -> s.cost_move ~attr ~dst
 
 let peek_delta t = function
   | Merge (a, b) -> Inc.delta_merge t a b
@@ -114,6 +116,15 @@ let peek_delta t = function
 let random_base rand w =
   Enumeration.random_partitioning rand
     (Table.attribute_count (Workload.table w))
+
+(* The sessions under test, each built fresh for a workload: the
+   incremental oracle, and the full re-costing session every request
+   without a factory is priced by. *)
+let subjects =
+  [
+    ("incremental", fun w -> Inc.factory disk w ());
+    ("full", fun w -> Partitioner.Delta.full (Vp_cost.Io_model.oracle disk w) ());
+  ]
 
 (* --- the workload corpus --------------------------------------------- *)
 
@@ -130,41 +141,47 @@ let corpus () =
 
 (* --- differential suite ---------------------------------------------- *)
 
-(* For every workload: [bases] seeded-random base partitionings, each
-   rebased into a fresh session and probed with [moves_per_base] random
-   moves; every peeked cost and delta must match the full re-cost of the
-   independently constructed target, bit for bit. Runs thousands of
-   cases across TPC-H, SSB and the synthetic generator. *)
+(* For every session kind and workload: [bases] seeded-random base
+   partitionings, each rebased into a fresh session and probed with
+   [moves_per_base] random moves; every peeked cost and delta must match
+   the full re-cost of the independently constructed target, bit for bit.
+   Runs thousands of cases across TPC-H, SSB and the synthetic
+   generator. *)
 let test_differential () =
   List.iter
-    (fun (name, w) ->
-      let state = Random.State.make [| 0x5eed; Hashtbl.hash name |] in
-      let rand k = Random.State.int state k in
-      for base_no = 1 to 40 do
-        let p0 = random_base rand w in
-        let t = Inc.create disk w in
-        check_bits
-          (Printf.sprintf "%s base %d: goto = full re-cost" name base_no)
-          (full_cost w p0) (Inc.goto t p0);
-        for _ = 1 to 4 do
-          match random_move rand p0 with
-          | None -> ()
-          | Some m ->
-              let target = apply_move p0 m in
-              let full = full_cost w target in
-              let label =
-                Printf.sprintf "%s base %d: %s" name base_no (describe m)
-              in
-              check_bits label full (peek_cost t m);
-              check_bits (label ^ " (delta)")
-                (full -. full_cost w p0)
-                (peek_delta t m);
-              (* Peeks must not have moved the base. *)
-              check_bits (label ^ " (base intact)") (full_cost w p0)
-                (Inc.base_cost t)
-        done
-      done)
-    (corpus ())
+    (fun (kind, session) ->
+      List.iter
+        (fun (name, w) ->
+          let state = Random.State.make [| 0x5eed; Hashtbl.hash name |] in
+          let rand k = Random.State.int state k in
+          for base_no = 1 to 40 do
+            let p0 = random_base rand w in
+            let s = session w in
+            check_bits
+              (Printf.sprintf "%s %s base %d: goto = full re-cost" kind name
+                 base_no)
+              (full_cost w p0) (s.Partitioner.Delta.goto p0);
+            for _ = 1 to 4 do
+              match random_move rand p0 with
+              | None -> ()
+              | Some m ->
+                  let target = apply_move p0 m in
+                  let full = full_cost w target in
+                  let label =
+                    Printf.sprintf "%s %s base %d: %s" kind name base_no
+                      (describe m)
+                  in
+                  check_bits label full (peek_cost s m);
+                  check_bits (label ^ " (delta)")
+                    (full -. full_cost w p0)
+                    (peek_cost s m -. s.base_cost ());
+                  (* Peeks must not have moved the base. *)
+                  check_bits (label ^ " (base intact)") (full_cost w p0)
+                    (s.base_cost ())
+            done
+          done)
+        (corpus ()))
+    subjects
 
 (* Rebasing mid-session (rather than into a fresh session) must recost
    only what changed yet return the same bits as a fresh full costing. *)
@@ -191,56 +208,65 @@ let test_goto_chain () =
 let test_degenerate () =
   let w = Testutil.partsupp_workload in
   let n = Table.attribute_count (Workload.table w) in
-  (* Moving the last attribute out of a singleton group empties the
-     source: the result is exactly a merge of the two groups. *)
-  let p =
-    Partitioning.of_groups ~n
-      [ Attr_set.singleton 0; Attr_set.of_list [ 1; 2; 3; 4 ] ]
-  in
-  let t = Inc.create disk w in
-  ignore (Inc.goto t p : float);
-  let dst = Attr_set.of_list [ 1; 2; 3; 4 ] in
-  check_bits "singleton-source move = merge"
-    (full_cost w (Partitioning.merge_groups p (Attr_set.singleton 0) dst))
-    (Inc.cost_move t ~attr:0 ~dst);
-  (* Moving an attribute into its own group is a no-op: the exact base
-     cost, and a delta of exactly +0.0. *)
-  check_bits "move into own group = base cost" (full_cost w p)
-    (Inc.cost_move t ~attr:2 ~dst);
-  check_bits "move into own group: delta = 0" 0.0
-    (Inc.delta_move t ~attr:2 ~dst);
-  (* Self-merge and whole-group splits are illegal exactly as they are
-     for Partitioning itself. *)
-  Alcotest.check_raises "self-merge raises"
-    (Invalid_argument "Partitioning.merge_groups: same group") (fun () ->
-      ignore (Inc.cost_merge t dst dst : float));
-  Alcotest.check_raises "splitting a whole group raises"
-    (Invalid_argument "Partitioning.split_group: subset equals the group")
-    (fun () ->
-      ignore (Inc.cost_split t ~group:dst ~sub:dst : float));
-  Alcotest.check_raises "splitting a singleton raises"
-    (Invalid_argument "Partitioning.split_group: subset equals the group")
-    (fun () ->
-      ignore
-        (Inc.cost_split t ~group:(Attr_set.singleton 0)
-           ~sub:(Attr_set.singleton 0)
-          : float));
-  Alcotest.check_raises "empty split subset raises"
-    (Invalid_argument "Partitioning.split_group: empty subset") (fun () ->
-      ignore (Inc.cost_split t ~group:dst ~sub:Attr_set.empty : float));
-  (* Moving into a non-group is rejected. *)
-  (match Inc.cost_move t ~attr:0 ~dst:(Attr_set.of_list [ 1; 2 ]) with
-  | exception Invalid_argument _ -> ()
-  | c -> Alcotest.failf "move into non-group returned %g" c);
-  (* A split peeked on a two-attribute group leaves two singletons. *)
-  let pair = Partitioning.of_groups ~n [ Attr_set.of_list [ 0; 1 ]; Attr_set.of_list [ 2; 3; 4 ] ] in
-  ignore (Inc.goto t pair : float);
-  check_bits "pair split = full re-cost"
-    (full_cost w
-       (Partitioning.split_group pair (Attr_set.of_list [ 0; 1 ])
-          (Attr_set.singleton 0)))
-    (Inc.cost_split t ~group:(Attr_set.of_list [ 0; 1 ])
-       ~sub:(Attr_set.singleton 0))
+  List.iter
+    (fun (kind, session) ->
+      let msg m = kind ^ ": " ^ m in
+      (* Moving the last attribute out of a singleton group empties the
+         source: the result is exactly a merge of the two groups. *)
+      let p =
+        Partitioning.of_groups ~n
+          [ Attr_set.singleton 0; Attr_set.of_list [ 1; 2; 3; 4 ] ]
+      in
+      let s : Partitioner.Delta.session = session w in
+      ignore (s.goto p : float);
+      let dst = Attr_set.of_list [ 1; 2; 3; 4 ] in
+      check_bits
+        (msg "singleton-source move = merge")
+        (full_cost w (Partitioning.merge_groups p (Attr_set.singleton 0) dst))
+        (s.cost_move ~attr:0 ~dst);
+      (* Moving an attribute into its own group is a no-op: the exact base
+         cost, and a delta of exactly +0.0. *)
+      check_bits (msg "move into own group = base cost") (full_cost w p)
+        (s.cost_move ~attr:2 ~dst);
+      check_bits (msg "move into own group: delta = 0") 0.0
+        (s.cost_move ~attr:2 ~dst -. s.base_cost ());
+      (* Self-merge and whole-group splits are illegal exactly as they are
+         for Partitioning itself. *)
+      Alcotest.check_raises (msg "self-merge raises")
+        (Invalid_argument "Partitioning.merge_groups: same group") (fun () ->
+          ignore (s.cost_merge dst dst : float));
+      Alcotest.check_raises
+        (msg "splitting a whole group raises")
+        (Invalid_argument "Partitioning.split_group: subset equals the group")
+        (fun () -> ignore (s.cost_split ~group:dst ~sub:dst : float));
+      Alcotest.check_raises
+        (msg "splitting a singleton raises")
+        (Invalid_argument "Partitioning.split_group: subset equals the group")
+        (fun () ->
+          ignore
+            (s.cost_split ~group:(Attr_set.singleton 0)
+               ~sub:(Attr_set.singleton 0)
+              : float));
+      Alcotest.check_raises (msg "empty split subset raises")
+        (Invalid_argument "Partitioning.split_group: empty subset") (fun () ->
+          ignore (s.cost_split ~group:dst ~sub:Attr_set.empty : float));
+      (* Moving into a non-group is rejected. *)
+      (match s.cost_move ~attr:0 ~dst:(Attr_set.of_list [ 1; 2 ]) with
+      | exception Invalid_argument _ -> ()
+      | c -> Alcotest.failf "%s: move into non-group returned %g" kind c);
+      (* A split peeked on a two-attribute group leaves two singletons. *)
+      let pair =
+        Partitioning.of_groups ~n
+          [ Attr_set.of_list [ 0; 1 ]; Attr_set.of_list [ 2; 3; 4 ] ]
+      in
+      ignore (s.goto pair : float);
+      check_bits (msg "pair split = full re-cost")
+        (full_cost w
+           (Partitioning.split_group pair (Attr_set.of_list [ 0; 1 ])
+              (Attr_set.singleton 0)))
+        (s.cost_split ~group:(Attr_set.of_list [ 0; 1 ])
+           ~sub:(Attr_set.singleton 0)))
+    subjects
 
 (* --- move algebra properties ----------------------------------------- *)
 
@@ -327,27 +353,34 @@ let test_session_closures () =
           [ Attr_set.singleton 0; Attr_set.of_list [ 1; 2; 3 ]; Attr_set.singleton 4 ]))
     (s.Partitioner.Delta.cost_move ~attr:1 ~dst:(Attr_set.of_list [ 2; 3 ]))
 
-(* The kill switch gates [Request.delta], not the sessions themselves. *)
-let test_kill_switch () =
+(* The full session prices each move with exactly one call of the
+   request's oracle, and a [goto] to its current base is free. *)
+let test_full_session_calls () =
   let w = Testutil.partsupp_workload in
-  let delta = Vp_cost.Io_model.Incremental.factory disk w in
-  let r =
-    Partitioner.Request.make ~delta
-      ~cost:(Vp_cost.Io_model.oracle disk w)
-      w
+  let n = Table.attribute_count (Workload.table w) in
+  let calls = ref 0 in
+  let oracle p =
+    incr calls;
+    full_cost w p
   in
-  let was = Partitioner.Delta.enabled () in
-  Fun.protect
-    ~finally:(fun () -> Partitioner.Delta.set_enabled was)
-    (fun () ->
-      Partitioner.Delta.set_enabled true;
-      Alcotest.(check bool)
-        "factory visible when enabled" true
-        (Option.is_some (Partitioner.Request.delta r));
-      Partitioner.Delta.set_enabled false;
-      Alcotest.(check bool)
-        "factory hidden when disabled" true
-        (Option.is_none (Partitioner.Request.delta r)))
+  let s = Partitioner.Delta.full oracle () in
+  Alcotest.check_raises "no base before the first goto"
+    (Invalid_argument "Delta.full: no base yet (goto first)") (fun () ->
+      ignore (s.Partitioner.Delta.base_cost () : float));
+  let p =
+    Partitioning.of_groups ~n
+      [ Attr_set.of_list [ 0; 1 ]; Attr_set.of_list [ 2; 3 ]; Attr_set.singleton 4 ]
+  in
+  ignore (s.goto p : float);
+  ignore (s.goto p : float);
+  ignore (s.base_cost () : float);
+  Alcotest.(check int) "goto to the base re-prices nothing" 1 !calls;
+  ignore (s.cost_merge (Attr_set.of_list [ 0; 1 ]) (Attr_set.singleton 4) : float);
+  ignore (s.cost_split ~group:(Attr_set.of_list [ 2; 3 ]) ~sub:(Attr_set.singleton 2) : float);
+  ignore (s.cost_move ~attr:1 ~dst:(Attr_set.of_list [ 2; 3 ]) : float);
+  Alcotest.(check int) "one oracle call per peek" 4 !calls;
+  ignore (s.goto (Partitioning.column n) : float);
+  Alcotest.(check int) "one oracle call per rebase" 5 !calls
 
 (* --- qcheck: random workloads, random bases, random moves ------------ *)
 
@@ -360,19 +393,22 @@ let prop_random_workloads =
       let* m_seed = small_nat in
       return (w, p_seed, m_seed))
     (fun (w, p_seed, m_seed) ->
-      let state = Random.State.make [| p_seed; m_seed |] in
-      let rand k = Random.State.int state k in
-      let p0 = random_base rand w in
-      let t = Inc.create disk w in
-      let c0 = Inc.goto t p0 in
-      bits c0 = bits (full_cost w p0)
-      &&
-      match random_move rand p0 with
-      | None -> true
-      | Some m ->
-          let target = apply_move p0 m in
-          bits (peek_cost t m) = bits (full_cost w target)
-          && bits (Inc.goto t target) = bits (full_cost w target))
+      List.for_all
+        (fun (_, session) ->
+          let state = Random.State.make [| p_seed; m_seed |] in
+          let rand k = Random.State.int state k in
+          let p0 = random_base rand w in
+          let s : Partitioner.Delta.session = session w in
+          let c0 = s.goto p0 in
+          bits c0 = bits (full_cost w p0)
+          &&
+          match random_move rand p0 with
+          | None -> true
+          | Some m ->
+              let target = apply_move p0 m in
+              bits (peek_cost s m) = bits (full_cost w target)
+              && bits (s.goto target) = bits (full_cost w target))
+        subjects)
 
 let suite =
   [
@@ -387,7 +423,7 @@ let suite =
       test_random_walk;
     Alcotest.test_case "session closures mirror the module" `Quick
       test_session_closures;
-    Alcotest.test_case "kill switch gates Request.delta" `Quick
-      test_kill_switch;
+    Alcotest.test_case "full session: one call per move" `Quick
+      test_full_session_calls;
     Testutil.qtest prop_random_workloads;
   ]

@@ -100,13 +100,14 @@ let prop_traced_algorithms_identical =
           n1 = n2 && Int64.equal c1 c2 && Vp_core.Partitioning.equal p1 p2)
         off on)
 
-(* The incremental delta oracle must be invisible end to end: with the
-   kill switch off (the VP_NO_DELTA path, full re-costing) and on, every
-   registered algorithm produces byte-identical layouts, cost bits,
-   status and provenance over the TPC-H line-up — through the parallel
-   runner at 1 and 4 jobs, traced and untraced. *)
+(* The incremental delta oracle must be invisible end to end: requests
+   built with and without an [Incremental] factory (the latter priced by
+   [Delta.full]) produce byte-identical layouts, cost bits, status,
+   provenance and counted stats for every delta-capable entrant and the
+   baselines over the TPC-H line-up — through the parallel runner at 1
+   and 4 jobs, traced and untraced. *)
 
-let render_lineup ~jobs () =
+let render_lineup ~with_delta ~jobs () =
   let open Vp_core in
   let disk = Vp_experiments.Common.disk in
   let workloads = Vp_benchmarks.Tpch.workloads ~sf:1.0 in
@@ -114,14 +115,19 @@ let render_lineup ~jobs () =
     workloads
     |> List.map (fun w ->
            let oracle = Vp_cost.Io_model.oracle disk w in
-           let delta = Vp_cost.Io_model.Incremental.factory disk w in
+           let delta =
+             if with_delta then
+               Some (Vp_cost.Io_model.Incremental.factory disk w)
+             else None
+           in
            let r =
              Partitioner.exec a
-               (Partitioner.Request.make ~label:"determinism" ~delta
+               (Partitioner.Request.make ~label:"determinism" ?delta
                   ~cost:oracle w)
            in
            let p = r.Partitioner.Response.provenance in
-           Printf.sprintf "%s|%s|%Lx|%s|%s/%s/%s|%s"
+           let st = r.Partitioner.Response.stats in
+           Printf.sprintf "%s|%s|%Lx|%s|%s/%s/%s|%s|calls=%d|candidates=%d"
              a.Partitioner.name
              (Table.name (Workload.table w))
              (Int64.bits_of_float r.Partitioner.Response.cost)
@@ -132,38 +138,40 @@ let render_lineup ~jobs () =
              (match r.Partitioner.Response.status with
              | Partitioner.Complete -> "complete"
              | Partitioner.Timed_out { steps; _ } ->
-                 Printf.sprintf "timed_out:%d" steps))
+                 Printf.sprintf "timed_out:%d" steps)
+             st.Partitioner.cost_calls st.Partitioner.candidates)
     |> String.concat "\n"
   in
   let tasks =
     List.map
       (fun (a : Partitioner.t) ->
         Vp_parallel.Runner.task ~label:a.Partitioner.name (render_algo a))
-      (Vp_experiments.Common.algorithms_with_baselines disk)
+      (Vp_experiments.Common.algorithms_with_baselines disk
+      @ [
+          Vp_algorithms.Ilp.with_bound disk;
+          Vp_algorithms.Hypergraph.algorithm;
+          Vp_algorithms.Portfolio.algorithm;
+        ])
   in
   Vp_parallel.Runner.run ~jobs tasks
   |> List.map (fun (o : string Vp_parallel.Runner.outcome) -> o.value)
   |> String.concat "\n"
 
 let test_delta_on_off_byte_identical () =
-  let was = Vp_core.Partitioner.Delta.enabled () in
-  Fun.protect
-    ~finally:(fun () -> Vp_core.Partitioner.Delta.set_enabled was)
-    (fun () ->
+  List.iter
+    (fun jobs ->
       List.iter
-        (fun jobs ->
-          List.iter
-            (fun (level_name, level) ->
-              let run enabled =
-                Vp_core.Partitioner.Delta.set_enabled enabled;
-                Vp_observe.Switch.with_level level (render_lineup ~jobs)
-              in
-              let with_delta = run true and without = run false in
-              Alcotest.(check string)
-                (Printf.sprintf "delta = full, jobs=%d, %s" jobs level_name)
-                without with_delta)
-            [ ("untraced", Vp_observe.Switch.Off); ("traced", Vp_observe.Switch.Trace) ])
-        [ 1; 4 ])
+        (fun (level_name, level) ->
+          let run with_delta =
+            Vp_observe.Switch.with_level level
+              (render_lineup ~with_delta ~jobs)
+          in
+          let with_delta = run true and without = run false in
+          Alcotest.(check string)
+            (Printf.sprintf "delta = full, jobs=%d, %s" jobs level_name)
+            without with_delta)
+        [ ("untraced", Vp_observe.Switch.Off); ("traced", Vp_observe.Switch.Trace) ])
+    [ 1; 4 ]
 
 let suite =
   [

@@ -179,8 +179,6 @@ let some_partitionings n =
 let test_cache_matches_io_model () =
   let w = Testutil.partsupp_workload in
   let n = Table.attribute_count (Workload.table w) in
-  let cache = Vp_parallel.Cost_cache.create () in
-  let cached = Vp_parallel.Cost_cache.oracle ~cache disk w in
   let qcache = Vp_parallel.Cost_cache.create () in
   let qcached = Vp_parallel.Cost_cache.query_oracle ~cache:qcache disk w in
   (* Two passes: the second one is served from the cache and must return
@@ -190,30 +188,26 @@ let test_cache_matches_io_model () =
       (fun p ->
         let expect = Vp_cost.Io_model.workload_cost disk w p in
         Alcotest.(check (float 0.))
-          (Printf.sprintf "whole-partitioning cache, pass %d" pass)
-          expect (cached p);
-        Alcotest.(check (float 0.))
           (Printf.sprintf "query-grained cache, pass %d" pass)
           expect (qcached p))
       (some_partitionings n)
   done;
-  let s = Vp_parallel.Cost_cache.stats cache in
-  Alcotest.(check bool) "whole-partitioning cache hits" true
-    (s.Vp_parallel.Cost_cache.hits > 0);
   Alcotest.(check bool) "query cache hits" true
     (Vp_parallel.Cost_cache.hit_rate qcache > 0.0)
 
+(* partsupp's two queries have distinct footprints: one evaluation is two
+   lookups under two keys. *)
 let test_cache_stats_and_clear () =
   let w = Testutil.partsupp_workload in
   let cache = Vp_parallel.Cost_cache.create () in
-  let cached = Vp_parallel.Cost_cache.oracle ~cache disk w in
+  let cached = Vp_parallel.Cost_cache.query_oracle ~cache disk w in
   let p = Partitioning.column 5 in
   ignore (cached p);
   ignore (cached p);
   let s = Vp_parallel.Cost_cache.stats cache in
-  Alcotest.(check int) "one miss" 1 s.Vp_parallel.Cost_cache.misses;
-  Alcotest.(check int) "one hit" 1 s.Vp_parallel.Cost_cache.hits;
-  Alcotest.(check int) "one entry" 1 s.Vp_parallel.Cost_cache.entries;
+  Alcotest.(check int) "two misses" 2 s.Vp_parallel.Cost_cache.misses;
+  Alcotest.(check int) "two hits" 2 s.Vp_parallel.Cost_cache.hits;
+  Alcotest.(check int) "two entries" 2 s.Vp_parallel.Cost_cache.entries;
   Alcotest.(check (float 1e-9)) "hit rate" 0.5
     (Vp_parallel.Cost_cache.hit_rate cache);
   Vp_parallel.Cost_cache.clear cache;
@@ -224,7 +218,7 @@ let test_cache_stats_and_clear () =
 let test_cache_kill_switch () =
   let w = Testutil.partsupp_workload in
   let cache = Vp_parallel.Cost_cache.create () in
-  let cached = Vp_parallel.Cost_cache.oracle ~cache disk w in
+  let cached = Vp_parallel.Cost_cache.query_oracle ~cache disk w in
   let p = Partitioning.row 5 in
   Fun.protect
     ~finally:(fun () -> Vp_parallel.Cost_cache.set_caching_enabled true)
@@ -240,39 +234,17 @@ let test_cache_kill_switch () =
         (s.Vp_parallel.Cost_cache.hits + s.Vp_parallel.Cost_cache.misses))
 
 let test_fingerprint_sensitivity () =
-  let w = Testutil.partsupp_workload in
-  let fp = Vp_parallel.Cost_cache.fingerprint disk w in
+  let table = Workload.table Testutil.partsupp_workload in
+  let fp = Vp_parallel.Cost_cache.context_fingerprint disk table in
   Alcotest.(check string) "deterministic" fp
-    (Vp_parallel.Cost_cache.fingerprint disk w);
+    (Vp_parallel.Cost_cache.context_fingerprint disk table);
   let bigger_buffer =
     Vp_cost.Disk.with_buffer_size disk (2 * disk.Vp_cost.Disk.buffer_size)
   in
   Alcotest.(check bool) "disk profile changes it" true
-    (fp <> Vp_parallel.Cost_cache.fingerprint bigger_buffer w);
-  let reweighted =
-    Workload.make (Workload.table w)
-      [
-        Query.make ~name:"Q1" ~weight:2.0
-          ~references:(Query.references Testutil.partsupp_q1)
-          ();
-        Testutil.partsupp_q2;
-      ]
-  in
-  Alcotest.(check bool) "query weight changes it" true
-    (fp <> Vp_parallel.Cost_cache.fingerprint disk reweighted)
-
-let test_counted_cache () =
-  let w = Testutil.partsupp_workload in
-  let oracle = Partitioner.Counted.make (Vp_cost.Io_model.oracle disk w) in
-  let cache = Vp_parallel.Cost_cache.create () in
-  let cost_of = Vp_parallel.Cost_cache.counted cache ~fingerprint:"t" oracle in
-  let p = Partitioning.column 5 in
-  let first = cost_of p in
-  Alcotest.(check int) "miss counts a call" 1 (Partitioner.Counted.calls oracle);
-  Alcotest.(check (float 0.)) "hit returns the same float" first (cost_of p);
-  Alcotest.(check int) "hit does not call" 1 (Partitioner.Counted.calls oracle);
-  Alcotest.(check int) "hit notes a candidate" 2
-    (Partitioner.Counted.candidates oracle)
+    (fp <> Vp_parallel.Cost_cache.context_fingerprint bigger_buffer table);
+  Alcotest.(check bool) "table schema changes it" true
+    (fp <> Vp_parallel.Cost_cache.context_fingerprint disk Testutil.tiny)
 
 (* --- Runner --- *)
 
@@ -313,6 +285,5 @@ let suite =
     Alcotest.test_case "cache stats + clear" `Quick test_cache_stats_and_clear;
     Alcotest.test_case "cache kill switch" `Quick test_cache_kill_switch;
     Alcotest.test_case "fingerprint sensitivity" `Quick test_fingerprint_sensitivity;
-    Alcotest.test_case "counted cache" `Quick test_counted_cache;
     Alcotest.test_case "runner ordering" `Quick test_runner_ordering;
   ]
