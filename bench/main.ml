@@ -72,8 +72,7 @@
                   the result.
 
    Environment knobs:
-     VP_SKIP_SLOW=1       skip the storage-simulator experiment (table7)
-                          and the bechamel section (useful in CI).
+     VP_SKIP_SLOW=1       skip the bechamel section (useful in CI).
      VP_RESULTS_DIR=dir   additionally write each experiment's output to
                           dir/<id>.txt (the directory must exist).
      VP_JOBS=N            default for --jobs. *)
@@ -101,19 +100,13 @@ let save_result id text =
 let run_experiments () =
   List.iter
     (fun (e : Vp_experiments.Registry.experiment) ->
-      if skip_slow && e.id = "table7" then
-        print_endline
-          (Vp_experiments.Common.heading
-             (Printf.sprintf "%s [%s] — skipped (VP_SKIP_SLOW)" e.paper_ref e.id))
-      else begin
-        print_string
-          (Vp_experiments.Common.heading
-             (Printf.sprintf "%s [%s] — %s" e.paper_ref e.id e.description));
-        let text = e.run () in
-        print_endline text;
-        save_result e.id text;
-        flush stdout
-      end)
+      print_string
+        (Vp_experiments.Common.heading
+           (Printf.sprintf "%s [%s] — %s" e.paper_ref e.id e.description));
+      let text = e.run () in
+      print_endline text;
+      save_result e.id text;
+      flush stdout)
     Vp_experiments.Registry.all
 
 (* --- Bechamel microbenchmarks: optimization time per algorithm, one

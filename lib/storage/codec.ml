@@ -41,10 +41,11 @@ let put_padded buf s width =
   done
 
 let get_padded b pos width =
-  let raw = Bytes.sub_string b pos width in
-  match String.index_opt raw '\000' with
-  | Some cut -> String.sub raw 0 cut
-  | None -> raw
+  let len = ref 0 in
+  while !len < width && Bytes.get b (pos + !len) <> '\000' do
+    incr len
+  done;
+  Bytes.sub_string b pos !len
 
 let put_float buf f =
   let bits = Int64.bits_of_float f in
@@ -53,13 +54,7 @@ let put_float buf f =
       (Char.chr (Int64.to_int (Int64.shift_right_logical bits (8 * k)) land 0xFF))
   done
 
-let get_float b pos =
-  let bits = ref 0L in
-  for k = 7 downto 0 do
-    bits := Int64.logor (Int64.shift_left !bits 8)
-        (Int64.of_int (Char.code (Bytes.get b (pos + k))))
-  done;
-  Int64.float_of_bits !bits
+let get_float b pos = Int64.float_of_bits (Bytes.get_int64_le b pos)
 
 (* Zig-zag varint (values can be any int). *)
 let put_varint buf v =
@@ -131,7 +126,7 @@ let train requested attrs column_major =
     Array.iter
       (fun v ->
         match v with
-        | Value.Str s -> if not (Hashtbl.mem seen s) then Hashtbl.add seen s ()
+        | Value.Str s -> Hashtbl.replace seen s ()
         | Value.Int _ | Value.Num _ -> ())
       column_major.(c);
     Hashtbl.fold (fun s () acc -> s :: acc) seen []
@@ -159,20 +154,20 @@ module Train = struct
       seen = Array.map (fun _ -> Hashtbl.create 64) t_attrs;
     }
 
-  let feed b row =
-    if Array.length row <> Array.length b.t_attrs then
+  let feed b ~positions row =
+    if Array.length positions <> Array.length b.t_attrs then
       invalid_arg "Codec.Train.feed: arity mismatch";
     Array.iteri
-      (fun c v ->
+      (fun c p ->
+        let v = row.(p) in
         if not (Value.matches (Attribute.datatype b.t_attrs.(c)) v) then
           invalid_arg
             (Printf.sprintf "Codec.train: value/type mismatch in column %s"
                (Attribute.name b.t_attrs.(c)));
         match (b.requested, v) with
-        | Dictionary, Value.Str s ->
-            if not (Hashtbl.mem b.seen.(c) s) then Hashtbl.add b.seen.(c) s ()
+        | Dictionary, Value.Str s -> Hashtbl.replace b.seen.(c) s ()
         | _, (Value.Int _ | Value.Num _ | Value.Str _) -> ())
-      row
+      positions
 
   let finish b =
     let dict c =
@@ -204,14 +199,16 @@ let dict_code col s =
     invalid_arg (Printf.sprintf "Codec: value %S not in dictionary" s);
   !found
 
-let encode_row codec row =
-  if Array.length row <> Array.length codec.cols then
+(* Encodes [row.(positions.(c))] for every codec column [c] — the
+   projection happens here, so builders feed full-table rows without
+   allocating a projected array. *)
+let add_projected codec buf ~positions row =
+  if Array.length positions <> Array.length codec.cols then
     invalid_arg "Codec.encode_row: arity mismatch";
-  let buf = Buffer.create 64 in
   Array.iteri
-    (fun c v ->
+    (fun c p ->
       let col = codec.cols.(c) in
-      match (codec.kind, Attribute.datatype col.attr, v) with
+      match (codec.kind, Attribute.datatype col.attr, row.(p)) with
       | (Plain | Dictionary), (Attribute.Int32 | Attribute.Date), Value.Int i ->
           put_fixed_int buf i 4
       | (Plain | Dictionary), Attribute.Decimal, Value.Num f -> put_float buf f
@@ -227,7 +224,11 @@ let encode_row codec row =
           Buffer.add_string buf s
       | _, _, (Value.Int _ | Value.Num _ | Value.Str _) ->
           invalid_arg "Codec.encode_row: value/type mismatch")
-    row;
+    positions
+
+let encode_row codec row =
+  let buf = Buffer.create 64 in
+  add_projected codec buf ~positions:(Array.init (Array.length row) Fun.id) row;
   Buffer.to_bytes buf
 
 let varint_len v =
@@ -235,18 +236,18 @@ let varint_len v =
   let rec go z n = if z land lnot 0x7F = 0 then n else go (z lsr 7) (n + 1) in
   go z 1
 
-(* Byte length [encode_row] would produce, without allocating — the
+(* Byte length [add_projected] would append, without allocating — the
    accounting-only path of the streaming builders. Validates like
-   [encode_row]. *)
-let encoded_width codec row =
-  if Array.length row <> Array.length codec.cols then
+   [add_projected]. *)
+let encoded_width codec ~positions row =
+  if Array.length positions <> Array.length codec.cols then
     invalid_arg "Codec.encode_row: arity mismatch";
   let total = ref 0 in
   Array.iteri
-    (fun c v ->
+    (fun c p ->
       let col = codec.cols.(c) in
       let w =
-        match (codec.kind, Attribute.datatype col.attr, v) with
+        match (codec.kind, Attribute.datatype col.attr, row.(p)) with
         | (Plain | Dictionary), (Attribute.Int32 | Attribute.Date), Value.Int _
           ->
             4
@@ -264,46 +265,63 @@ let encoded_width codec row =
             invalid_arg "Codec.encode_row: value/type mismatch"
       in
       total := !total + w)
-    row;
+    positions;
   !total
+
+let skip_varint b pos =
+  let rec go pos =
+    if Char.code (Bytes.get b pos) land 0x80 = 0 then pos + 1 else go (pos + 1)
+  in
+  go pos
+
+(* One walk over an encoded row: wanted columns are decoded and handed to
+   [f] in column order, the others are stepped over by their encoded
+   width without building a value. *)
+let decode_projected codec ~wanted b ~pos f =
+  let n = Array.length codec.cols in
+  if Array.length wanted <> n then
+    invalid_arg "Codec.decode_projected: mask/arity mismatch";
+  let pos = ref pos in
+  for c = 0 to n - 1 do
+    let col = codec.cols.(c) in
+    let want = wanted.(c) in
+    match (codec.kind, Attribute.datatype col.attr) with
+    | (Plain | Dictionary), (Attribute.Int32 | Attribute.Date) ->
+        (* Sign-extend: the wire format is the value's low 32 bits. *)
+        if want then f c (Value.Int (Int32.to_int (Bytes.get_int32_le b !pos)));
+        pos := !pos + 4
+    | (Plain | Dictionary | Varlen), Attribute.Decimal ->
+        if want then f c (Value.Num (get_float b !pos));
+        pos := !pos + 8
+    | Plain, (Attribute.Char w | Attribute.Varchar w) ->
+        if want then f c (Value.Str (get_padded b !pos w));
+        pos := !pos + w
+    | Dictionary, (Attribute.Char _ | Attribute.Varchar _) ->
+        if want then
+          f c (Value.Str col.dictionary.(get_fixed_int b !pos col.code_width));
+        pos := !pos + col.code_width
+    | Varlen, (Attribute.Int32 | Attribute.Date) ->
+        if want then begin
+          let v, p = get_varint b !pos in
+          f c (Value.Int v);
+          pos := p
+        end
+        else pos := skip_varint b !pos
+    | Varlen, (Attribute.Char _ | Attribute.Varchar _) ->
+        let len, p = get_varint b !pos in
+        if want then f c (Value.Str (Bytes.sub_string b p len));
+        pos := p + len
+  done;
+  !pos
 
 let decode_row codec b ~pos =
   let n = Array.length codec.cols in
   let out = Array.make n (Value.Int 0) in
-  let pos = ref pos in
-  for c = 0 to n - 1 do
-    let col = codec.cols.(c) in
-    (match (codec.kind, Attribute.datatype col.attr) with
-    | (Plain | Dictionary), (Attribute.Int32 | Attribute.Date) ->
-        (* Sign-extend: the wire format is the value's low 32 bits. *)
-        let raw = get_fixed_int b !pos 4 in
-        let v = if raw land 0x80000000 <> 0 then raw - (1 lsl 32) else raw in
-        out.(c) <- Value.Int v;
-        pos := !pos + 4
-    | (Plain | Dictionary), Attribute.Decimal ->
-        out.(c) <- Value.Num (get_float b !pos);
-        pos := !pos + 8
-    | Plain, (Attribute.Char w | Attribute.Varchar w) ->
-        out.(c) <- Value.Str (get_padded b !pos w);
-        pos := !pos + w
-    | Dictionary, (Attribute.Char _ | Attribute.Varchar _) ->
-        let code = get_fixed_int b !pos col.code_width in
-        out.(c) <- Value.Str col.dictionary.(code);
-        pos := !pos + col.code_width
-    | Varlen, (Attribute.Int32 | Attribute.Date) ->
-        let v, p = get_varint b !pos in
-        out.(c) <- Value.Int v;
-        pos := p
-    | Varlen, Attribute.Decimal ->
-        out.(c) <- Value.Num (get_float b !pos);
-        pos := !pos + 8
-    | Varlen, (Attribute.Char _ | Attribute.Varchar _) ->
-        let len, p = get_varint b !pos in
-        out.(c) <- Value.Str (Bytes.sub_string b p len);
-        pos := p + len);
-    ()
-  done;
-  (out, !pos)
+  let pos =
+    decode_projected codec ~wanted:(Array.make n true) b ~pos (fun c v ->
+        out.(c) <- v)
+  in
+  (out, pos)
 
 let fixed_row_width codec =
   match codec.kind with

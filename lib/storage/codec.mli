@@ -45,8 +45,9 @@ module Train : sig
 
   val create : kind -> Attribute.t list -> builder
 
-  val feed : builder -> Value.t array -> unit
-  (** One row, values in group column order.
+  val feed : builder -> positions:int array -> Value.t array -> unit
+  (** One row: the group's values are [row.(positions.(i))], as for
+      {!add_projected}.
       @raise Invalid_argument on arity or value/type mismatch. *)
 
   val finish : builder -> t
@@ -61,19 +62,36 @@ val kind : t -> kind
 
 val columns : t -> column list
 
+val add_projected : t -> Buffer.t -> positions:int array -> Value.t array -> unit
+(** [add_projected c buf ~positions row] appends the encoding of the
+    group row [row.(positions.(0)), row.(positions.(1)), ...] to [buf] —
+    the builders' path: full-table rows go in, no projected array is
+    allocated.
+    @raise Invalid_argument if [positions] disagrees with the codec's
+    arity or a value does not match its column type. *)
+
 val encode_row : t -> Value.t array -> Bytes.t
 (** Encodes one row (values in group column order). *)
 
-val encoded_width : t -> Value.t array -> int
-(** [Bytes.length (encode_row c row)] without allocating the bytes — the
-    accounting-only path of the streaming storage builders. Validates
-    like {!encode_row}. *)
+val encoded_width : t -> positions:int array -> Value.t array -> int
+(** The number of bytes {!add_projected} would append, without
+    allocating them — the accounting-only path of the streaming storage
+    builders. Validates like {!add_projected}. *)
+
+val decode_projected :
+  t -> wanted:bool array -> Bytes.t -> pos:int -> (int -> Value.t -> unit) -> int
+(** [decode_projected c ~wanted b ~pos f] walks the row starting at
+    [pos]: for every column [i] with [wanted.(i)] it decodes the value and
+    calls [f i v] (in column order); every other column is skipped by its
+    encoded width (fixed slot, dictionary code, varint or length-prefixed
+    bytes) without building a value. Returns the position after the row.
+    @raise Invalid_argument if [wanted] disagrees with the codec's arity. *)
 
 val decode_row : t -> Bytes.t -> pos:int -> Value.t array * int
-(** [decode_row c b ~pos] decodes the row starting at [pos], returning the
-    values and the position after the row. Decoding is exact for
-    [Plain]/[Dictionary]/[Varlen] except that [Plain] and [Dictionary]
-    truncate strings longer than the declared width. *)
+(** [decode_row c b ~pos] is {!decode_projected} with every column wanted,
+    collected into an array: the values and the position after the row.
+    Decoding is exact for [Plain]/[Dictionary]/[Varlen] except that
+    [Plain] truncates strings longer than the declared width. *)
 
 val fixed_row_width : t -> int option
 (** [Some w] for the fixed-stride codecs, [None] for [Varlen]. *)

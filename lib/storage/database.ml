@@ -49,8 +49,7 @@ let build ?device ?(retain = true) ~disk ~codec ?formats table source
             | `Training (positions, tb) ->
                 Array.iter
                   (fun row ->
-                    Codec.Train.feed tb
-                      (Array.map (fun p -> row.(p)) positions))
+                    Codec.Train.feed tb ~positions row)
                   chunk)
           trainers);
   let codecs =
@@ -122,12 +121,12 @@ type stream = {
   file_id : int;
   pfile : Pfile.t;
   sub_buffer_blocks : int;
-  refs_in_group : int array;  (** positions within the group's column order
-                                  that the query projects *)
+  wanted : bool array;  (** per group column: does the query project it *)
+  cols : int;  (** projected columns in the group *)
   in_group : bool;  (** group has attributes beyond the projected ones or
                         more than one column (stride decoding) *)
-  mutable buffered : Value.t array array;  (** decoded rows of the buffer *)
-  mutable buffered_first : int;
+  mutable window_first : int;  (** first row of the buffered window *)
+  mutable window_len : int;
   mutable next_block : int;
 }
 
@@ -160,25 +159,18 @@ let make_streams db refs =
     in
     let sub_buffer_blocks = max 1 (share / db.disk.Vp_cost.Disk.block_size) in
     let group_positions = Attr_set.to_list (Pfile.group f) in
-    let refs_in_group =
-      List.filteri (fun _ p -> Attr_set.mem p refs) group_positions
-      |> List.map (fun p ->
-             let rec index k = function
-               | [] -> assert false
-               | q :: _ when q = p -> k
-               | _ :: rest -> index (k + 1) rest
-             in
-             index 0 group_positions)
-      |> Array.of_list
+    let wanted =
+      Array.of_list (List.map (fun p -> Attr_set.mem p refs) group_positions)
     in
     {
       file_id = i;
       pfile = f;
       sub_buffer_blocks;
-      refs_in_group;
+      wanted;
+      cols = Array.fold_left (fun n w -> if w then n + 1 else n) 0 wanted;
       in_group = List.length group_positions > 1;
-      buffered = [||];
-      buffered_first = 0;
+      window_first = 0;
+      window_len = 0;
       next_block = 0;
     }
   in
@@ -192,15 +184,19 @@ let window_rows pfile ~from_row ~last_block =
     Pfile.row_count pfile - from_row
   else Pfile.first_row_of_block pfile (last_block + 1) - from_row
 
-(* The materialized executor: decode every buffered window, reconstruct
-   tuples row rank by row rank, checksum the projected values. *)
+(* The materialized executor: at each refill, fold the checksum over the
+   window's projected values straight from the block bytes (the digest is
+   a commutative sum, so decoding the window at once equals checksumming
+   tuple by tuple); the per-row loop keeps only window bounds and drives
+   the refill order and the tuple-reconstruction CPU. *)
 let run_query_materialized db streams rows =
   let device = Device.create db.disk in
   let cpu_ns = ref 0.0 in
   let values_decoded = ref 0 in
   let checksum = ref 0 in
   (* Refill a stream's sub-buffer: read the next window of blocks and
-     decode the rows they cover, starting at [from_row]. *)
+     decode the projected values of the rows they cover, starting at
+     [from_row]. *)
   let refill s ~from_row =
     let total_blocks = Pfile.block_count s.pfile in
     if s.next_block < total_blocks then begin
@@ -208,27 +204,25 @@ let run_query_materialized db streams rows =
       Device.read device ~file:s.file_id ~first_block:s.next_block ~count;
       let last_block = s.next_block + count - 1 in
       let rows_covered = window_rows s.pfile ~from_row ~last_block in
-      s.buffered <- Pfile.read_rows s.pfile ~first_row:from_row ~count:rows_covered;
-      s.buffered_first <- from_row;
+      checksum :=
+        Pfile.fold s.pfile ~wanted:s.wanted ~first_row:from_row
+          ~count:rows_covered ~init:!checksum (fun acc ~row:_ _ v ->
+            checksum_value acc v);
+      s.window_first <- from_row;
+      s.window_len <- rows_covered;
       s.next_block <- s.next_block + count;
       (* decode CPU for everything buffered *)
-      let cols = Array.length s.refs_in_group in
       let kind = Codec.kind (Pfile.codec s.pfile) in
       let per_value = Codec.decode_ns_per_value kind ~in_group:s.in_group in
-      cpu_ns := !cpu_ns +. (per_value *. float_of_int (Array.length s.buffered * cols));
-      values_decoded := !values_decoded + (Array.length s.buffered * cols)
+      cpu_ns := !cpu_ns +. (per_value *. float_of_int (rows_covered * s.cols));
+      values_decoded := !values_decoded + (rows_covered * s.cols)
     end
   in
   let partitions_read = List.length streams in
   for r = 0 to rows - 1 do
     List.iter
       (fun s ->
-        if r >= s.buffered_first + Array.length s.buffered then
-          refill s ~from_row:r;
-        let row = s.buffered.(r - s.buffered_first) in
-        Array.iter
-          (fun c -> checksum := checksum_value !checksum row.(c))
-          s.refs_in_group)
+        if r >= s.window_first + s.window_len then refill s ~from_row:r)
       streams;
     if partitions_read > 1 then
       cpu_ns := !cpu_ns +. (join_ns_per_tuple *. float_of_int (partitions_read - 1))
@@ -278,11 +272,10 @@ let run_query_virtual db streams rows =
           let last_block = s.next_block + count - 1 in
           let rows_covered = window_rows s.pfile ~from_row:!r ~last_block in
           s.next_block <- s.next_block + count;
-          let cols = Array.length s.refs_in_group in
           let kind = Codec.kind (Pfile.codec s.pfile) in
           let per_value = Codec.decode_ns_per_value kind ~in_group:s.in_group in
-          cpu_ns := !cpu_ns +. (per_value *. float_of_int (rows_covered * cols));
-          values_decoded := !values_decoded + (rows_covered * cols);
+          cpu_ns := !cpu_ns +. (per_value *. float_of_int (rows_covered * s.cols));
+          values_decoded := !values_decoded + (rows_covered * s.cols);
           if s.next_block >= total_blocks then begin
             finished.(i) <- true;
             decr remaining

@@ -7,9 +7,10 @@ open Vp_core
     The executor mirrors the paper's query processing assumptions: all
     partitions referenced by a query are scanned concurrently through one
     shared I/O buffer, split among them in proportion to their (average)
-    row sizes; every sub-buffer refill pays a seek; tuples are
-    reconstructed row-rank by row-rank and handed to the (simulated) query
-    executor tuple by tuple. *)
+    row sizes; every sub-buffer refill pays a seek; tuple reconstruction
+    is charged row rank by row rank. A refill decodes only the projected
+    columns of its window, straight from the block bytes, into the
+    checksum — nothing row-shaped outlives the refill. *)
 
 type t
 

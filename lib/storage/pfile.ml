@@ -94,6 +94,7 @@ type builder = {
   b_arity : int;  (** full-table row arity, for validation *)
   b_fixed : int option;  (** fixed encoded width, when the codec has one *)
   mutable fed : int;
+  scratch : Buffer.t;  (** the row being encoded *)
   (* current (open) block *)
   buf : Buffer.t;
   mutable cur_len : int;
@@ -120,6 +121,7 @@ let builder ~block_size ~codec ~retain ~rows table ~group =
     b_arity = Table.attribute_count table;
     b_fixed = Codec.fixed_row_width codec;
     fed = 0;
+    scratch = Buffer.create (if retain then 256 else 0);
     buf = Buffer.create (if retain then block_size else 0);
     cur_len = 0;
     cur_first = 0;
@@ -137,7 +139,7 @@ let flush b =
   if b.cur_count > 0 then begin
     if b.b_retain then begin
       let blk = Bytes.make b.b_block_size '\000' in
-      Bytes.blit_string (Buffer.contents b.buf) 0 blk 0 (Buffer.length b.buf);
+      Buffer.blit b.buf 0 blk 0 (Buffer.length b.buf);
       b.blocks_rev <- blk :: b.blocks_rev;
       Buffer.clear b.buf
     end;
@@ -154,33 +156,22 @@ let feed b chunk =
       (fun row ->
         if Array.length row <> b.b_arity then
           invalid_arg "Pfile.build: row arity mismatch";
-        let projected = Array.map (fun p -> row.(p)) b.b_positions in
         let len =
           if b.b_retain then begin
-            let encoded = Codec.encode_row b.b_codec projected in
-            let len = Bytes.length encoded in
-            if len > b.b_block_size then
-              invalid_arg
-                (Printf.sprintf
-                   "Pfile.build: row of %d bytes exceeds the %d-byte block"
-                   len b.b_block_size);
-            if b.cur_len + len > b.b_block_size then flush b;
-            if b.cur_count = 0 then b.cur_first <- b.fed;
-            Buffer.add_bytes b.buf encoded;
-            len
+            Buffer.clear b.scratch;
+            Codec.add_projected b.b_codec b.scratch ~positions:b.b_positions row;
+            Buffer.length b.scratch
           end
-          else begin
-            let len = Codec.encoded_width b.b_codec projected in
-            if len > b.b_block_size then
-              invalid_arg
-                (Printf.sprintf
-                   "Pfile.build: row of %d bytes exceeds the %d-byte block"
-                   len b.b_block_size);
-            if b.cur_len + len > b.b_block_size then flush b;
-            if b.cur_count = 0 then b.cur_first <- b.fed;
-            len
-          end
+          else Codec.encoded_width b.b_codec ~positions:b.b_positions row
         in
+        if len > b.b_block_size then
+          invalid_arg
+            (Printf.sprintf
+               "Pfile.build: row of %d bytes exceeds the %d-byte block" len
+               b.b_block_size);
+        if b.cur_len + len > b.b_block_size then flush b;
+        if b.cur_count = 0 then b.cur_first <- b.fed;
+        if b.b_retain then Buffer.add_buffer b.buf b.scratch;
         b.cur_len <- b.cur_len + len;
         b.cur_count <- b.cur_count + 1;
         b.payload <- b.payload + len;
@@ -289,7 +280,7 @@ let train_stream codec_kind table ~group source =
       Vp_stream.Source.iter source (fun ~first_row:_ chunk ->
           Array.iter
             (fun row ->
-              Codec.Train.feed tb (Array.map (fun p -> row.(p)) positions))
+              Codec.Train.feed tb ~positions row)
             chunk);
       Codec.Train.finish tb
 
@@ -306,38 +297,39 @@ let build_stream ~block_size ~codec_kind ?(retain = true) table ~group source
     Vp_stream.Source.iter source (fun ~first_row:_ chunk -> feed b chunk);
   finish b
 
-let read_rows f ~first_row ~count =
+(* The one block walk: rows before [first_row] in the first block are
+   stepped over with an all-skip mask (a variable stride has no other
+   way to find a row), rows in range are handed to the projected
+   decoder, and the walk stops at the last requested row. *)
+let fold f ~wanted ~first_row ~count ~init step =
   let blocks =
     match f.storage with
     | Blocks blocks -> blocks
-    | Virtual -> invalid_arg "Pfile.read_rows: virtual (accounting-only) file"
+    | Virtual -> invalid_arg "Pfile.fold: virtual (accounting-only) file"
   in
-  if f.row_count = 0 || count <= 0 then [||]
-  else begin
-    let first_row = max 0 first_row in
-    let last_row = min (f.row_count - 1) (first_row + count - 1) in
-    if first_row > last_row then [||]
-    else begin
-      let out = Array.make (last_row - first_row + 1) [||] in
-      let bi = ref (block_of_row f first_row) in
-      let produced = ref 0 in
-      while !produced < Array.length out do
-        let block = blocks.(!bi) in
-        let block_first = first_row_of_block f !bi in
-        let in_block = rows_in_block f !bi in
-        (* Decode sequentially from the start of the block, emitting the
-           rows that fall in the requested range. *)
-        let pos = ref 0 in
-        for r = block_first to block_first + in_block - 1 do
-          let row, pos' = Codec.decode_row f.codec block ~pos:!pos in
-          pos := pos';
-          if r >= first_row && r <= last_row then begin
-            out.(r - first_row) <- row;
-            incr produced
-          end
-        done;
-        incr bi
+  let acc = ref init in
+  let first_row = max 0 first_row in
+  let last_row = min (f.row_count - 1) (first_row + count - 1) in
+  if first_row <= last_row then begin
+    let skip = Array.map (fun _ -> false) wanted in
+    let bi = ref (block_of_row f first_row) in
+    let r = ref (first_row_of_block f !bi) in
+    while !r <= last_row do
+      let block = blocks.(!bi) in
+      let stop = min last_row (!r + rows_in_block f !bi - 1) in
+      let pos = ref 0 in
+      while !r <= stop do
+        let row = !r in
+        pos :=
+          if row < first_row then
+            Codec.decode_projected f.codec ~wanted:skip block ~pos:!pos
+              (fun _ _ -> ())
+          else
+            Codec.decode_projected f.codec ~wanted block ~pos:!pos (fun c v ->
+                acc := step !acc ~row c v);
+        incr r
       done;
-      out
-    end
-  end
+      incr bi
+    done
+  end;
+  !acc

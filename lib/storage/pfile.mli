@@ -6,13 +6,13 @@ open Vp_core
 
     A file exists in one of two storage modes:
     - {e materialized} — actual encoded block images, decodable with
-      {!read_rows};
+      {!fold};
     - {e virtual} (accounting-only) — block geometry (block count,
       row-to-block map, payload) without the bytes, the out-of-core mode
       the SF100-class simulation runs in. Virtual files answer every
       geometry question ({!block_count}, {!block_of_row},
       {!first_row_of_block}…) identically to their materialized twins
-      (property-tested), but {!read_rows} rejects them.
+      (property-tested), but {!fold} rejects them.
 
     For fixed-stride codecs ([Plain], [Dictionary]) the geometry is
     value-independent — floor(block size / row width) rows per block — so
@@ -93,7 +93,7 @@ val block_count : t -> int
 val row_count : t -> int
 
 val is_virtual : t -> bool
-(** Accounting-only file: geometry without bytes; {!read_rows} rejects
+(** Accounting-only file: geometry without bytes; {!fold} rejects
     it. *)
 
 val bytes_on_disk : t -> int
@@ -102,11 +102,23 @@ val bytes_on_disk : t -> int
 val payload_bytes : t -> int
 (** Encoded bytes without block padding. *)
 
-val read_rows : t -> first_row:int -> count:int -> Value.t array array
-(** Decodes rows [first_row .. first_row+count-1] (clamped to the file's
-    end) in group column order — the in-memory half of a scan; the device
-    accounting happens in {!Database}.
-    @raise Invalid_argument on a virtual file. *)
+val fold :
+  t ->
+  wanted:bool array ->
+  first_row:int ->
+  count:int ->
+  init:'a ->
+  ('a -> row:int -> int -> Value.t -> 'a) ->
+  'a
+(** [fold f ~wanted ~first_row ~count ~init step] walks rows
+    [first_row .. first_row+count-1] (clamped to the file's end) straight
+    from the block bytes, calling [step acc ~row c v] for every column [c]
+    of the group with [wanted.(c)], in row order then group column order
+    — the in-memory half of a scan; the device accounting happens in
+    {!Database}. Unwanted columns are skipped by width, and no row array
+    is built.
+    @raise Invalid_argument on a virtual file, or when a row is walked
+    with a [wanted] mask whose length is not the group's arity. *)
 
 val block_of_row : t -> int -> int
 (** Block index holding a given row. *)

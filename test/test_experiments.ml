@@ -99,6 +99,21 @@ let test_paper_headline_results () =
         (r.total_cost < row.total_cost))
     [ navathe; o2p ]
 
+(* Table 7's rendering against the sweep benchmark's reference digest
+   (perfbench/sweep_reference.txt, read, never rewritten here). *)
+let test_table7_matches_reference () =
+  let reference =
+    In_channel.with_open_bin "../perfbench/sweep_reference.txt"
+      In_channel.input_lines
+    |> List.find_map (fun line ->
+           match String.split_on_char ' ' line with
+           | [ "table7"; digest ] -> Some digest
+           | _ -> None)
+  in
+  Alcotest.(check (option string))
+    "table7 md5" reference
+    (Some (Digest.to_hex (Digest.string (Vp_experiments.Exp_dbms.table7 ()))))
+
 let suite =
   [
     Alcotest.test_case "registry ids unique" `Quick test_registry_ids_unique;
@@ -108,4 +123,6 @@ let suite =
     Alcotest.test_case "algorithm line-up" `Quick test_common_algorithm_lineup;
     Alcotest.test_case "tpch runs cached" `Slow test_tpch_runs_cached_and_complete;
     Alcotest.test_case "paper headline results" `Slow test_paper_headline_results;
+    Alcotest.test_case "table7 matches sweep reference" `Slow
+      test_table7_matches_reference;
   ]

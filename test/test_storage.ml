@@ -118,14 +118,25 @@ let test_pfile_accounting () =
   Alcotest.(check int) "blocks" 1 (Vp_storage.Pfile.block_count f);
   Alcotest.(check int) "payload" (150 * 12) (Vp_storage.Pfile.payload_bytes f)
 
+(* Rows [first_row, first_row+count) rebuilt from the all-wanted fold. *)
+let read_rows f ~first_row ~count =
+  let arity = Attr_set.cardinal (Vp_storage.Pfile.group f) in
+  Vp_storage.Pfile.fold f ~wanted:(Array.make arity true) ~first_row ~count
+    ~init:[] (fun acc ~row _ v ->
+      match acc with
+      | (r, vs) :: rest when r = row -> (r, v :: vs) :: rest
+      | _ -> (row, [ v ]) :: acc)
+  |> List.rev_map (fun (_, vs) -> Array.of_list (List.rev vs))
+  |> Array.of_list
+
 let test_pfile_read_rows () =
   let f = build_pfile [ 0 ] in
-  let rows = Vp_storage.Pfile.read_rows f ~first_row:10 ~count:5 in
+  let rows = read_rows f ~first_row:10 ~count:5 in
   Alcotest.(check int) "5 rows" 5 (Array.length rows);
   (* CustKey of row 10 is 11. *)
   Alcotest.(check bool) "right values" true
     (Value.equal (Value.Int 11) rows.(0).(0));
-  let beyond = Vp_storage.Pfile.read_rows f ~first_row:148 ~count:10 in
+  let beyond = read_rows f ~first_row:148 ~count:10 in
   Alcotest.(check int) "clamped" 2 (Array.length beyond)
 
 let test_pfile_block_of_row () =
@@ -138,7 +149,7 @@ let test_pfile_varlen_blocks () =
   let f = build_pfile ~codec:Vp_storage.Codec.Varlen [ 7 ] in
   (* Varlen comments are unpadded, so fewer blocks than plain. *)
   Alcotest.(check bool) "compressed" true (Vp_storage.Pfile.block_count f <= 5);
-  let rows = Vp_storage.Pfile.read_rows f ~first_row:0 ~count:150 in
+  let rows = read_rows f ~first_row:0 ~count:150 in
   Alcotest.(check int) "all rows decodable" 150 (Array.length rows)
 
 (* --- Database executor --- *)
@@ -361,7 +372,7 @@ let prop_pfile_roundtrip_random =
           ~group:(Attr_set.full n) rows
       in
       let back =
-        Vp_storage.Pfile.read_rows f ~first_row:0 ~count:(Array.length rows)
+        read_rows f ~first_row:0 ~count:(Array.length rows)
       in
       Array.length back = Array.length rows
       && Array.for_all2
@@ -370,3 +381,125 @@ let prop_pfile_roundtrip_random =
 
 let suite =
   suite @ [ Testutil.qtest prop_pfile_roundtrip_random ]
+
+(* --- Property: the projected decoder agrees with the full decode --- *)
+
+let gen_projected_case =
+  QCheck2.Gen.(
+    let gen_type =
+      oneof
+        [
+          return Attribute.Int32;
+          return Attribute.Date;
+          return Attribute.Decimal;
+          map (fun w -> Attribute.Char w) (int_range 1 12);
+          map (fun w -> Attribute.Varchar w) (int_range 1 12);
+        ]
+    in
+    let gen_value = function
+      | Attribute.Int32 ->
+          map (fun i -> Value.Int i) (int_range (-0x8000_0000) 0x7FFF_FFFF)
+      | Attribute.Date ->
+          map (fun i -> Value.Int i) (int_range (-100_000) 100_000)
+      | Attribute.Decimal -> map (fun f -> Value.Num f) float
+      | Attribute.Char w | Attribute.Varchar w ->
+          (* Empty strings and strings past the declared width included. *)
+          map
+            (fun s -> Value.Str s)
+            (string_size ~gen:printable (int_range 0 (w + 8)))
+    in
+    let* types = list_size (int_range 1 8) gen_type in
+    let* rows =
+      list_size (int_range 1 12) (flatten_l (List.map gen_value types))
+    in
+    let* kind =
+      oneofl
+        Vp_storage.Codec.[ Plain; Dictionary; Varlen ]
+    in
+    let* wanted = flatten_l (List.map (fun _ -> bool) types) in
+    return (types, rows, kind, wanted))
+
+let prop_projected_decode =
+  QCheck2.Test.make ~name:"projected decode = full decode at wanted columns"
+    ~count:300 gen_projected_case (fun (types, rows, kind, wanted) ->
+      let attrs =
+        List.mapi (fun i t -> Attribute.make (Printf.sprintf "c%d" i) t) types
+      in
+      let rows = Array.of_list (List.map Array.of_list rows) in
+      let wanted = Array.of_list wanted in
+      let codec =
+        Vp_storage.Codec.train kind attrs
+          (Array.mapi (fun c _ -> Array.map (fun r -> r.(c)) rows) wanted)
+      in
+      (* Every row back to back in one buffer, so a wrong skip width
+         also derails the rows after it. *)
+      let bytes =
+        Bytes.concat Bytes.empty
+          (Array.to_list (Array.map (Vp_storage.Codec.encode_row codec) rows))
+      in
+      let full_pos = ref 0 and proj_pos = ref 0 in
+      Array.for_all
+        (fun _ ->
+          let full, full_end =
+            Vp_storage.Codec.decode_row codec bytes ~pos:!full_pos
+          in
+          let got = ref [] in
+          let proj_end =
+            Vp_storage.Codec.decode_projected codec ~wanted bytes ~pos:!proj_pos
+              (fun c v -> got := (c, v) :: !got)
+          in
+          full_pos := full_end;
+          proj_pos := proj_end;
+          let expected =
+            List.filter_map
+              (fun c -> if wanted.(c) then Some (c, full.(c)) else None)
+              (List.init (Array.length wanted) Fun.id)
+          in
+          proj_end = full_end && compare (List.rev !got) expected = 0)
+        rows
+      && !full_pos = Bytes.length bytes)
+
+(* --- The scan kernel's output, pinned --- *)
+
+(* Every [query_result] field of the orders workload at table7's scale
+   factor, under both table7 codecs and its three layouts, digested (floats
+   by their bits). The constant was recorded before the materialized scan
+   became projection-only; any change to the simulated numbers shows
+   here. *)
+let scan_digest () =
+  let module D = Vp_experiments.Exp_dbms in
+  let full = Vp_benchmarks.Tpch.workload ~sf:D.sim_sf "orders" in
+  let w = D.drop_excluded full in
+  let table = Workload.table w in
+  let source = Vp_stream.Source.of_rowgen gen table in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun codec ->
+      List.iter
+        (fun layout ->
+          let db =
+            Vp_storage.Database.build ~disk:D.sim_disk ~codec table source
+              (D.layout_for layout full)
+          in
+          List.iter
+            (fun (r : Vp_storage.Database.query_result) ->
+              Printf.bprintf buf "%d %Ld %d %d %d %Ld %d %d %d\n" r.rows_out
+                (Int64.bits_of_float r.io.Vp_storage.Device.elapsed)
+                r.io.seeks r.io.blocks_read r.io.blocks_written
+                (Int64.bits_of_float r.cpu_seconds)
+                r.partitions_read r.values_decoded r.checksum)
+            (fst (Vp_storage.Database.run_workload db w)))
+        [ "Row"; "Column"; "HillClimb" ])
+    [ Vp_storage.Codec.Varlen; Vp_storage.Codec.Dictionary ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_scan_output_pinned () =
+  Alcotest.(check string)
+    "orders scan digest" "e8999c5653fa2f548d82ff298c2b68c1" (scan_digest ())
+
+let suite =
+  suite
+  @ [
+      Testutil.qtest prop_projected_decode;
+      Alcotest.test_case "scan output pinned" `Quick test_scan_output_pinned;
+    ]
