@@ -22,7 +22,11 @@ open Vp_core
     time of the six heuristics — exactly the trade-off the paper reports. *)
 
 val algorithm : Partitioner.t
-(** Trojan with the default interestingness threshold of 0.5. *)
+(** Trojan tuned by the cost model: runs the pipeline once per
+    interestingness threshold in {1.0, 0.9, 0.7, 0.5, 0.3} and keeps the
+    layout the oracle prices cheapest (the first on ties). Under a limited
+    or cancellable budget the row layout seeds the incumbent, so
+    exhaustion still returns a valid layout. *)
 
 val with_threshold : ?max_candidates:int -> float -> Partitioner.t
 (** Trojan with an explicit pruning threshold in [[0, 1]] (ablation

@@ -88,6 +88,17 @@ let referenced_groups p refs =
     [] p.groups
   |> List.rev
 
+let referenced_group_masks p refs buf =
+  let count = ref 0 in
+  for i = 0 to Array.length p.groups - 1 do
+    let g = p.groups.(i) in
+    if Attr_set.intersects g refs then begin
+      buf.(!count) <- Attr_set.to_mask g;
+      incr count
+    end
+  done;
+  !count
+
 let referenced_group_count p refs =
   Array.fold_left
     (fun acc g -> if Attr_set.intersects g refs then acc + 1 else acc)
@@ -104,15 +115,23 @@ let find_group_index p g =
   in
   go 0
 
+(* [merge_groups] and [split_group] build the canonical array directly,
+   in O(k). A union's minimum is the smaller of its parts' minima, so it
+   takes the lower index's slot and every other group keeps its rank. *)
 let merge_groups p g1 g2 =
   let i1 = find_group_index p g1 and i2 = find_group_index p g2 in
   if i1 = i2 then invalid_arg "Partitioning.merge_groups: same group";
-  let rest =
-    Array.to_list p.groups
-    |> List.filteri (fun i _ -> i <> i1 && i <> i2)
+  let hi = max i1 i2 in
+  let groups =
+    Array.init
+      (Array.length p.groups - 1)
+      (fun i -> p.groups.(if i < hi then i else i + 1))
   in
-  of_groups ~n:p.n (Attr_set.union g1 g2 :: rest)
+  groups.(min i1 i2) <- Attr_set.union g1 g2;
+  { p with groups }
 
+(* The half holding [g]'s minimum keeps [g]'s slot; the other half goes
+   in at its minimum's rank among the groups after it. *)
 let split_group p g sub =
   let gi = find_group_index p g in
   if Attr_set.is_empty sub then
@@ -121,8 +140,21 @@ let split_group p g sub =
     invalid_arg "Partitioning.split_group: not a subset of the group";
   if Attr_set.equal sub g then
     invalid_arg "Partitioning.split_group: subset equals the group";
-  let rest = Array.to_list p.groups |> List.filteri (fun i _ -> i <> gi) in
-  of_groups ~n:p.n (sub :: Attr_set.diff g sub :: rest)
+  let rest = Attr_set.diff g sub in
+  let keep, moved =
+    if Attr_set.mem (Attr_set.min_elt g) sub then (sub, rest) else (rest, sub)
+  in
+  let m = Attr_set.min_elt moved in
+  let k = Array.length p.groups in
+  let j = ref (gi + 1) in
+  while !j < k && Attr_set.min_elt p.groups.(!j) < m do
+    incr j
+  done;
+  let groups = Array.make (k + 1) moved in
+  Array.blit p.groups 0 groups 0 !j;
+  Array.blit p.groups !j groups (!j + 1) (k - !j);
+  groups.(gi) <- keep;
+  { p with groups }
 
 let equal a b =
   a.n = b.n

@@ -54,6 +54,13 @@ val referenced_groups : t -> Attr_set.t -> Attr_set.t list
     attribute of [refs] — the partitions a query with footprint [refs] must
     read under the paper's common-granularity rule. *)
 
+val referenced_group_masks : t -> Attr_set.t -> int array -> int
+(** [referenced_group_masks p refs buf] writes the masks
+    ({!Attr_set.to_mask}) of [referenced_groups p refs], in the same
+    order, into [buf] from index 0 and returns how many it wrote. The
+    allocation-free form of {!referenced_groups} for hot paths; [buf]
+    must hold at least [group_count p] entries. *)
+
 val referenced_group_count : t -> Attr_set.t -> int
 
 val merge_groups : t -> Attr_set.t -> Attr_set.t -> t

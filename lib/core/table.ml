@@ -50,12 +50,8 @@ let row_size t =
   Array.fold_left (fun acc a -> acc + Attribute.width a) 0 t.attributes
 
 let subset_size t set =
-  (match Attr_set.to_list set with
-  | [] -> ()
-  | l ->
-      let top = List.fold_left max 0 l in
-      if top >= Array.length t.attributes then
-        invalid_arg "Table.subset_size: attribute position out of bounds");
+  if not (Attr_set.subset set (Attr_set.full (Array.length t.attributes))) then
+    invalid_arg "Table.subset_size: attribute position out of bounds";
   Attr_set.fold (fun i acc -> acc + width t i) set 0
 
 let all_attributes t = Attr_set.full (Array.length t.attributes)

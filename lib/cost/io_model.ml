@@ -149,6 +149,30 @@ let c_delta_evals = Vp_observe.Stats.counter "cost.delta_evals"
    workload order — the same left-to-right fold [workload_cost] performs —
    so every returned cost is bit-identical to a full re-cost. *)
 module Incremental = struct
+  (* Memo key: one query's referenced-group masks, in canonical order.
+     Lookups probe with the session's [probe] key filled in place, so a
+     hit allocates nothing; only a miss copies the masks into a fresh
+     key. The hash mixes every mask (the polymorphic hash stops after
+     ten) and folds high bits down, since the table indexes by low bits. *)
+  module Key = struct
+    type t = { mutable len : int; masks : int array }
+
+    let rec equal_from a b i =
+      i >= a.len || (a.masks.(i) = b.masks.(i) && equal_from a b (i + 1))
+
+    let equal a b = a.len = b.len && equal_from a b 0
+
+    let hash k =
+      let h = ref k.len in
+      for i = 0 to k.len - 1 do
+        let x = (!h lxor k.masks.(i)) * 0x2545F4914F6CDD1D in
+        h := x lxor (x lsr 29)
+      done;
+      !h land max_int
+  end
+
+  module Memo = Hashtbl.Make (Key)
+
   type t = {
     disk : Disk.t;
     table : Table.t;
@@ -162,8 +186,8 @@ module Incremental = struct
     qcost : float array;  (* unweighted query costs under [base] *)
     scratch : float array;  (* peeked costs, valid where stamp.(i) = gen *)
     stamp : int array;
-    memo : (int list, float) Hashtbl.t;
-        (* referenced-group masks -> unweighted query cost *)
+    memo : float Memo.t;  (* referenced-group masks -> unweighted query cost *)
+    probe : Key.t;  (* lookup scratch, room for one mask per attribute *)
     mutable gen : int;
     mutable base : Partitioning.t;
     mutable valid : bool;  (* false until the first (re)base costing *)
@@ -205,28 +229,32 @@ module Incremental = struct
       qcost = Array.make q 0.0;
       scratch = Array.make q 0.0;
       stamp = Array.make q (-1);
-      memo = Hashtbl.create 1024;
+      memo = Memo.create 1024;
+      probe = { Key.len = 0; masks = Array.make (max 1 n) 0 };
       gen = 0;
       base = Partitioning.row (max 1 n);
       valid = false;
       base_cost = 0.0;
     }
 
-  (* Per-query cost of reading [refs], memoized on the referenced-group
-     masks. [query_cost_groups] is a pure function of (disk, table, refs)
-     and both are fixed for the session's lifetime, so a hit returns the
-     bit-identical float the cost model produced the first time; only
-     misses run the model (and increment cost.query_costs). Search loops
-     re-pose the same referenced-group lists across candidates and climb
-     iterations, which is where most of the delta path's counter savings
-     come from. *)
-  let memo_query_cost t refs =
-    let key = List.map Attr_set.to_mask refs in
-    match Hashtbl.find_opt t.memo key with
-    | Some c -> c
-    | None ->
-        let c = query_cost_groups t.disk t.table refs in
-        Hashtbl.add t.memo key c;
+  (* Per-query cost of reading the groups of [p] that footprint [refs]
+     touches, memoized on their masks. [query_cost_groups] is a pure
+     function of (disk, table, groups) and the first two are fixed for
+     the session's lifetime, so a hit returns the bit-identical float the
+     cost model produced the first time; only misses run the model (and
+     increment cost.query_costs). Search loops re-pose the same
+     referenced-group lists across candidates and climb iterations, which
+     is where most of the delta path's counter savings come from. *)
+  let memo_query_cost t p refs =
+    let probe = t.probe in
+    probe.len <- Partitioning.referenced_group_masks p refs probe.masks;
+    match Memo.find t.memo probe with
+    | c -> c
+    | exception Not_found ->
+        let masks = Array.sub probe.masks 0 probe.len in
+        let groups = Array.to_list (Array.map Attr_set.of_mask masks) in
+        let c = query_cost_groups t.disk t.table groups in
+        Memo.add t.memo { Key.len = probe.len; masks } c;
         c
 
   (* The weighted total, re-summed over every query left to right exactly
@@ -241,8 +269,7 @@ module Incremental = struct
 
   let recost_all t p =
     for i = 0 to Array.length t.qcost - 1 do
-      t.qcost.(i) <-
-        memo_query_cost t (Partitioning.referenced_groups p t.refs.(i))
+      t.qcost.(i) <- memo_query_cost t p t.refs.(i)
     done;
     t.gen <- t.gen + 1;
     (* gen bump: no stamps survive *)
@@ -276,8 +303,7 @@ module Incremental = struct
           let i = t.attr_qidx.(k) in
           if t.stamp.(i) <> t.gen then begin
             t.stamp.(i) <- t.gen;
-            t.scratch.(i) <-
-              memo_query_cost t (Partitioning.referenced_groups p t.refs.(i))
+            t.scratch.(i) <- memo_query_cost t p t.refs.(i)
           end
         done)
       changed

@@ -32,7 +32,15 @@ let test_table_subset_size () =
     (Table.subset_size t (Attr_set.of_list [ 0; 1 ]));
   Alcotest.(check int) "empty subset" 0 (Table.subset_size t Attr_set.empty);
   Alcotest.(check int) "all" (Table.row_size t)
-    (Table.subset_size t (Table.all_attributes t))
+    (Table.subset_size t (Table.all_attributes t));
+  let out_of_bounds =
+    Invalid_argument "Table.subset_size: attribute position out of bounds"
+  in
+  (* partsupp has 5 attributes: position 5 is the first one past the end. *)
+  Alcotest.check_raises "position = attribute count" out_of_bounds (fun () ->
+      ignore (Table.subset_size t (Attr_set.of_list [ 0; 5 ])));
+  Alcotest.check_raises "far position" out_of_bounds (fun () ->
+      ignore (Table.subset_size t (Attr_set.singleton 40)))
 
 let test_table_validation () =
   let a = Attribute.make "x" Attribute.Int32 in

@@ -137,7 +137,10 @@ let corpus () =
   List.map
     (fun w -> (Table.name (Workload.table w), w))
     (Vp_benchmarks.Tpch.workloads ~sf:1.0 @ Vp_benchmarks.Ssb.workloads ~sf:1.0)
-  @ [ synth 3L 10 14; synth 17L 14 20; synth 23L 7 9 ]
+  (* The 60-attribute input gives random bases of up to a dozen groups
+     and queries spanning more than ten of them: memo keys longer than
+     the ten values a polymorphic hash reads. *)
+  @ [ synth 3L 10 14; synth 17L 14 20; synth 23L 7 9; synth 29L 60 30 ]
 
 (* --- differential suite ---------------------------------------------- *)
 

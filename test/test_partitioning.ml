@@ -150,6 +150,89 @@ let prop_column_refines_everything =
       Partitioning.is_refinement (Partitioning.column n) p
       && Partitioning.is_refinement p (Partitioning.row n))
 
+(* Reference constructions for [merge_groups] and [split_group]: rebuild
+   the group list and let [of_groups] validate and re-sort it. *)
+let reference_merge p g1 g2 =
+  Partitioning.of_groups ~n:(Partitioning.attribute_count p)
+    (Attr_set.union g1 g2
+    :: List.filter
+         (fun g -> not (Attr_set.equal g g1 || Attr_set.equal g g2))
+         (Partitioning.groups p))
+
+let reference_split p g sub =
+  Partitioning.of_groups ~n:(Partitioning.attribute_count p)
+    (sub :: Attr_set.diff g sub
+    :: List.filter (fun h -> not (Attr_set.equal h g)) (Partitioning.groups p))
+
+let raises_invalid msg f =
+  match f () with
+  | (_ : Partitioning.t) -> false
+  | exception Invalid_argument m -> m = msg
+
+let prop_edits_match_reference =
+  QCheck2.Test.make ~name:"merge/split = of_groups reference" ~count:300
+    QCheck2.Gen.(pair (int_range 1 40) int)
+    (fun (n, seed) ->
+      let state = Random.State.make [| seed |] in
+      let rand = Random.State.int state in
+      let p = Enumeration.random_partitioning rand n in
+      let groups = Partitioning.group_array p in
+      let k = Array.length groups in
+      let g = groups.(rand k) in
+      (* Never a group: either a proper part of [g] or [g] plus an
+         attribute past the end. *)
+      let bogus =
+        if Attr_set.cardinal g >= 2 then Attr_set.singleton (Attr_set.min_elt g)
+        else Attr_set.add n g
+      in
+      let not_a_group =
+        Printf.sprintf "Partitioning: %s is not a group"
+          (Attr_set.to_string bogus)
+      in
+      let merge_ok =
+        k < 2
+        ||
+        let i = rand k in
+        let j = (i + 1 + rand (k - 1)) mod k in
+        Partitioning.equal
+          (Partitioning.merge_groups p groups.(i) groups.(j))
+          (reference_merge p groups.(i) groups.(j))
+      in
+      let split_ok =
+        match
+          List.filter
+            (fun h -> Attr_set.cardinal h >= 2)
+            (Array.to_list groups)
+        with
+        | [] -> true
+        | wide ->
+            let h = List.nth wide (rand (List.length wide)) in
+            let attrs = Attr_set.to_list h in
+            let drop = List.nth attrs (rand (List.length attrs)) in
+            let sub =
+              Attr_set.filter (fun a -> a <> drop && rand 2 = 0) h
+            in
+            let sub =
+              if Attr_set.is_empty sub then Attr_set.singleton drop else sub
+            in
+            Partitioning.equal
+              (Partitioning.split_group p h sub)
+              (reference_split p h sub)
+      in
+      merge_ok && split_ok
+      && raises_invalid not_a_group (fun () ->
+             Partitioning.merge_groups p bogus g)
+      && raises_invalid not_a_group (fun () ->
+             Partitioning.merge_groups p g bogus)
+      && raises_invalid "Partitioning.merge_groups: same group" (fun () ->
+             Partitioning.merge_groups p g g)
+      && raises_invalid not_a_group (fun () ->
+             Partitioning.split_group p bogus bogus)
+      && raises_invalid "Partitioning.split_group: empty subset" (fun () ->
+             Partitioning.split_group p g Attr_set.empty)
+      && raises_invalid "Partitioning.split_group: subset equals the group"
+           (fun () -> Partitioning.split_group p g g))
+
 let suite =
   [
     Alcotest.test_case "row/column" `Quick test_row_column;
@@ -166,4 +249,5 @@ let suite =
     Testutil.qtest prop_random_partitioning_valid;
     Testutil.qtest prop_merge_reduces_group_count;
     Testutil.qtest prop_column_refines_everything;
+    Testutil.qtest prop_edits_match_reference;
   ]
