@@ -1,6 +1,6 @@
 (** Fault-tolerant execution of a set of experiment cells.
 
-    Where [Vp_parallel.Runner] assumes every task succeeds, a sweep
+    Where [Vp_parallel.Pool.run] re-raises the first failure, a sweep
     expects trouble and degrades instead of aborting: each cell runs under
     its own {!Vp_robust.Budget}, a crashing or timed-out cell becomes an
     annotated entry in the report rather than a lost run, and completed
@@ -35,10 +35,11 @@ val run :
     one cell per experiment, in catalogue order.
 
     [timeout_seconds]/[budget_steps] bound {e each cell} (a fresh budget
-    per cell; with neither, cells run unbudgeted and behave exactly as
-    under [Runner.run]). [journal_path] enables checkpointing: finished
-    cells (Done and Timeout, not Error) are appended as they complete,
-    and cells already present are replayed with [resumed = true].
+    per cell; with neither, cells run unbudgeted and render exactly what
+    a direct [e.run ()] returns). [journal_path] enables checkpointing:
+    finished cells (Done and Timeout, not Error) are appended as they
+    complete, and cells already present are replayed with
+    [resumed = true].
     [fault] (default {!Vp_robust.Fault.disabled}) is installed as the
     ambient plan around the whole batch, so it reaches both the pool task
     boundary and every cost-oracle call inside the cells. [jobs] as in

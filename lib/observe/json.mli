@@ -1,8 +1,8 @@
 (** A minimal, dependency-free JSON value type with a printer and parser.
 
-    Exists so the observability layer can emit (and the CI checker and
-    golden tests can re-read) Chrome traces and bench reports without
-    adding a JSON dependency the container may not have. It covers the
+    Exists so the observability layer, the wire protocol and the
+    benchmark can emit and re-read JSON (Chrome traces, protocol frames,
+    [BENCHMARK.json]) without adding a JSON dependency. It covers the
     JSON this repo produces — objects, arrays, strings with escapes,
     ints, floats, booleans, null — not the full horror of the spec
     (surrogate pairs decode to U+FFFD). *)

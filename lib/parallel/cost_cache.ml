@@ -9,18 +9,12 @@ type t = {
 
 type stats = { hits : int; misses : int; entries : int }
 
-let enabled = Atomic.make true
-
 (* Global probes on top of the per-cache [stats] fields: the per-cache
    counts answer "how well did this cache do", the merged counters answer
-   "what did the whole process do" (Stats.snapshot / bench --json). *)
+   "what did the whole process do" (Stats.snapshot). *)
 let c_hits = Vp_observe.Stats.counter "cache.hits"
 
 let c_misses = Vp_observe.Stats.counter "cache.misses"
-
-let set_caching_enabled b = Atomic.set enabled b
-
-let caching_enabled () = Atomic.get enabled
 
 let create () =
   { mutex = Mutex.create (); table = Hashtbl.create 4096; hits = 0; misses = 0 }
@@ -100,30 +94,26 @@ let query_oracle ?(cache = global) disk workload =
       queries
   in
   fun p ->
-    if not (Atomic.get enabled) then
-      Vp_cost.Io_model.workload_cost disk workload p
-    else begin
-      (* Same accumulation order and operations as
-         [Io_model.workload_cost], so the result is bit-identical with the
-         cache on, off, or pre-populated. *)
-      let acc = ref 0.0 in
-      Array.iteri
-        (fun i q ->
-          let referenced =
-            Partitioning.referenced_groups p (Query.references q)
-          in
-          let key =
-            prefixes.(i)
-            ^ String.concat ","
-                (List.map
-                   (fun g -> string_of_int (Attr_set.to_mask g))
-                   referenced)
-          in
-          let c =
-            lookup cache key (fun () ->
-                Vp_cost.Io_model.query_cost_groups disk table referenced)
-          in
-          acc := !acc +. (Query.weight q *. c))
-        queries;
-      !acc
-    end
+    (* Same accumulation order and operations as
+       [Io_model.workload_cost], so the result is bit-identical whether
+       the cache is cold or pre-populated. *)
+    let acc = ref 0.0 in
+    Array.iteri
+      (fun i q ->
+        let referenced =
+          Partitioning.referenced_groups p (Query.references q)
+        in
+        let key =
+          prefixes.(i)
+          ^ String.concat ","
+              (List.map
+                 (fun g -> string_of_int (Attr_set.to_mask g))
+                 referenced)
+        in
+        let c =
+          lookup cache key (fun () ->
+              Vp_cost.Io_model.query_cost_groups disk table referenced)
+        in
+        acc := !acc +. (Query.weight q *. c))
+      queries;
+    !acc

@@ -13,25 +13,15 @@
     cache on or off — only faster. All operations are domain-safe.
     Searches keep no memo of their own: they price candidates through a
     delta session ({!Vp_core.Partitioner.Delta}), whose incremental form
-    has its own per-query memo.
-
-    A process-wide kill switch ({!set_caching_enabled}) turns every cache
-    into a transparent pass-through; the benchmark harness uses it to time
-    uncached baselines. *)
+    has its own per-query memo. *)
 
 type t
 
 val create : unit -> t
-(** A fresh, empty, enabled cache. *)
+(** A fresh, empty cache. *)
 
 val global : t
 (** The process-wide cache shared by the experiment layer and the CLI. *)
-
-val set_caching_enabled : bool -> unit
-(** Process-wide kill switch (default [true]). When off, every cache is a
-    pass-through and counters stop moving. *)
-
-val caching_enabled : unit -> bool
 
 type stats = { hits : int; misses : int; entries : int }
 

@@ -3,7 +3,7 @@
     OCaml's [lazy] is not safe to force from several domains at once
     ([CamlinternalLazy.Undefined]); [Once.t] is the drop-in replacement the
     experiment layer uses for its shared memoized results so that the
-    parallel runner can fan experiments across domains. The first caller
+    sweep can fan experiments across domains. The first caller
     computes the value under the lock; everyone else blocks and then reads
     the memoized result. *)
 

@@ -385,6 +385,67 @@ let test_full_session_calls () =
   ignore (s.goto (Partitioning.column n) : float);
   Alcotest.(check int) "one oracle call per rebase" 5 !calls
 
+(* --- the service pattern: one session, many rounds ------------------ *)
+
+(* HillClimb over the TPC-H line-up [sweep_rounds] times — the service
+   pattern, where the same workload is re-optimized again and again —
+   with ONE persistent delta session per workload, supplied to every
+   round's request, against requests without a factory (priced by
+   [Delta.full], which has nothing to persist). Every round's layout and
+   cost bits must be byte-identical, and the full path must do at least
+   [min_query_cost_ratio] times as many per-query re-costs
+   ([cost.query_costs]) as the delta path. *)
+let sweep_rounds = 3
+
+let min_query_cost_ratio = 5.0
+
+let test_hillclimb_sweep_saves_recosts () =
+  let workloads = Vp_benchmarks.Tpch.workloads ~sf:Vp_experiments.Common.sf in
+  let query_costs () =
+    Vp_observe.Stats.counter_value (Vp_observe.Stats.snapshot ())
+      "cost.query_costs"
+  in
+  let run_sweep ~with_delta =
+    let prepared =
+      List.map
+        (fun w ->
+          if with_delta then
+            let s = Inc.create disk w in
+            (w, Some (fun () -> Inc.session s))
+          else (w, None))
+        workloads
+    in
+    let qc0 = query_costs () in
+    let outcomes =
+      List.concat_map
+        (fun _round ->
+          List.map
+            (fun (w, delta) ->
+              let r =
+                Partitioner.exec Vp_algorithms.Hillclimb.algorithm
+                  (Partitioner.Request.make ?delta
+                     ~cost:(Vp_cost.Io_model.oracle disk w) w)
+              in
+              ( Partitioning.to_string r.Partitioner.Response.partitioning,
+                bits r.Partitioner.Response.cost ))
+            prepared)
+        (List.init sweep_rounds Fun.id)
+    in
+    (outcomes, query_costs () - qc0)
+  in
+  Vp_observe.Switch.(with_level Stats) (fun () ->
+      let full, full_qc = run_sweep ~with_delta:false in
+      let delta, delta_qc = run_sweep ~with_delta:true in
+      Alcotest.(check (list (pair string int64)))
+        "layouts and cost bits byte-identical" full delta;
+      Alcotest.(check bool)
+        (Printf.sprintf "full %d re-costs >= %.1fx delta %d" full_qc
+           min_query_cost_ratio delta_qc)
+        true
+        (full_qc > 0
+        && float_of_int full_qc
+           >= min_query_cost_ratio *. float_of_int delta_qc))
+
 (* --- qcheck: random workloads, random bases, random moves ------------ *)
 
 let prop_random_workloads =
@@ -428,5 +489,7 @@ let suite =
       test_session_closures;
     Alcotest.test_case "full session: one call per move" `Quick
       test_full_session_calls;
+    Alcotest.test_case "TPC-H sweep: >= 5x fewer re-costs, same layouts"
+      `Quick test_hillclimb_sweep_saves_recosts;
     Testutil.qtest prop_random_workloads;
   ]

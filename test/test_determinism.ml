@@ -2,8 +2,8 @@
    experiments across domains may change in which order (and on which
    domain) results are computed, but never what they are. A sample of
    cheap, pure-cost experiments is rendered three ways — directly, through
-   the runner with one job, and through the runner with four jobs — and
-   the outputs must be byte-identical. *)
+   the sweep (the CLI's path) with one job, and through the sweep with
+   four jobs — and the outputs must be byte-identical. *)
 
 let sample_ids = [ "table1"; "table2"; "fig3"; "fig4"; "fig5"; "fig6" ]
 
@@ -12,48 +12,37 @@ let direct_outputs () =
     (fun id -> ((Vp_experiments.Registry.find id).Vp_experiments.Registry.run) ())
     sample_ids
 
-let runner_outputs ~jobs =
-  let tasks =
-    List.map
-      (fun id ->
-        let e = Vp_experiments.Registry.find id in
-        Vp_parallel.Runner.task ~label:e.Vp_experiments.Registry.id
-          e.Vp_experiments.Registry.run)
-      sample_ids
-  in
-  Vp_parallel.Runner.run ~jobs tasks
+let sweep_cells ~jobs =
+  Vp_experiments.Sweep.run ~jobs
+    (List.map Vp_experiments.Registry.find sample_ids)
 
-let test_runner_matches_direct () =
+let test_sweep_matches_direct () =
   let direct = direct_outputs () in
   List.iter
     (fun jobs ->
-      let outcomes = runner_outputs ~jobs in
+      let cells = sweep_cells ~jobs in
       Alcotest.(check (list string))
-        (Printf.sprintf "labels in submission order, jobs=%d" jobs)
+        (Printf.sprintf "cells in submission order, jobs=%d" jobs)
         sample_ids
-        (List.map
-           (fun (o : string Vp_parallel.Runner.outcome) -> o.label)
-           outcomes);
+        (List.map (fun (c : Vp_experiments.Sweep.cell) -> c.id) cells);
       List.iter2
-        (fun id (expect, got) ->
+        (fun id (expect, (c : Vp_experiments.Sweep.cell)) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s done, jobs=%d" id jobs)
+            true
+            (c.status = Vp_experiments.Sweep.Done);
           Alcotest.(check string)
             (Printf.sprintf "%s byte-identical, jobs=%d" id jobs)
-            expect got)
+            expect c.output)
         sample_ids
-        (List.combine direct
-           (List.map
-              (fun (o : string Vp_parallel.Runner.outcome) -> o.value)
-              outcomes)))
+        (List.combine direct cells))
     [ 1; 4 ]
 
 let test_jobs1_equals_jobs4 () =
-  let one = runner_outputs ~jobs:1 in
-  let four = runner_outputs ~jobs:4 in
   List.iter2
-    (fun (a : string Vp_parallel.Runner.outcome)
-         (b : string Vp_parallel.Runner.outcome) ->
-      Alcotest.(check string) (a.label ^ " jobs:1 = jobs:4") a.value b.value)
-    one four
+    (fun (a : Vp_experiments.Sweep.cell) (b : Vp_experiments.Sweep.cell) ->
+      Alcotest.(check string) (a.id ^ " jobs:1 = jobs:4") a.output b.output)
+    (sweep_cells ~jobs:1) (sweep_cells ~jobs:4)
 
 (* Observability must be pure observation: a traced run is byte-identical
    to an untraced run. The spans and counters record what happened — they
@@ -104,8 +93,8 @@ let prop_traced_algorithms_identical =
    built with and without an [Incremental] factory (the latter priced by
    [Delta.full]) produce byte-identical layouts, cost bits, status,
    provenance and counted stats for every delta-capable entrant and the
-   baselines over the TPC-H line-up — through the parallel runner at 1
-   and 4 jobs, traced and untraced. *)
+   baselines over the TPC-H line-up — fanned over the pool at 1 and 4
+   jobs, traced and untraced. *)
 
 let render_lineup ~with_delta ~jobs () =
   let open Vp_core in
@@ -142,19 +131,14 @@ let render_lineup ~with_delta ~jobs () =
              st.Partitioner.cost_calls st.Partitioner.candidates)
     |> String.concat "\n"
   in
-  let tasks =
-    List.map
-      (fun (a : Partitioner.t) ->
-        Vp_parallel.Runner.task ~label:a.Partitioner.name (render_algo a))
-      (Vp_experiments.Common.algorithms_with_baselines disk
-      @ [
-          Vp_algorithms.Ilp.with_bound disk;
-          Vp_algorithms.Hypergraph.algorithm;
-          Vp_algorithms.Portfolio.algorithm;
-        ])
-  in
-  Vp_parallel.Runner.run ~jobs tasks
-  |> List.map (fun (o : string Vp_parallel.Runner.outcome) -> o.value)
+  Vp_experiments.Common.algorithms_with_baselines disk
+  @ [
+      Vp_algorithms.Ilp.with_bound disk;
+      Vp_algorithms.Hypergraph.algorithm;
+      Vp_algorithms.Portfolio.algorithm;
+    ]
+  |> List.map render_algo
+  |> Vp_parallel.Pool.run_list ~jobs
   |> String.concat "\n"
 
 let test_delta_on_off_byte_identical () =
@@ -175,8 +159,8 @@ let test_delta_on_off_byte_identical () =
 
 let suite =
   [
-    Alcotest.test_case "runner matches direct run" `Quick
-      test_runner_matches_direct;
+    Alcotest.test_case "sweep matches direct run" `Quick
+      test_sweep_matches_direct;
     Alcotest.test_case "jobs 1 = jobs 4" `Quick test_jobs1_equals_jobs4;
     Alcotest.test_case "traced experiments byte-identical" `Quick
       test_traced_experiments_byte_identical;

@@ -1,4 +1,4 @@
-(* vp_parallel: the work pool, Once, the cost cache, and the runner. *)
+(* vp_parallel: the work pool, Once and the cost cache. *)
 
 open Vp_core
 
@@ -215,24 +215,6 @@ let test_cache_stats_and_clear () =
   Alcotest.(check int) "cleared entries" 0 s.Vp_parallel.Cost_cache.entries;
   Alcotest.(check int) "cleared hits" 0 s.Vp_parallel.Cost_cache.hits
 
-let test_cache_kill_switch () =
-  let w = Testutil.partsupp_workload in
-  let cache = Vp_parallel.Cost_cache.create () in
-  let cached = Vp_parallel.Cost_cache.query_oracle ~cache disk w in
-  let p = Partitioning.row 5 in
-  Fun.protect
-    ~finally:(fun () -> Vp_parallel.Cost_cache.set_caching_enabled true)
-    (fun () ->
-      Vp_parallel.Cost_cache.set_caching_enabled false;
-      Alcotest.(check bool) "reports disabled" false
-        (Vp_parallel.Cost_cache.caching_enabled ());
-      Alcotest.(check (float 0.)) "pass-through value"
-        (Vp_cost.Io_model.workload_cost disk w p)
-        (cached p);
-      let s = Vp_parallel.Cost_cache.stats cache in
-      Alcotest.(check int) "no lookups recorded" 0
-        (s.Vp_parallel.Cost_cache.hits + s.Vp_parallel.Cost_cache.misses))
-
 let test_fingerprint_sensitivity () =
   let table = Workload.table Testutil.partsupp_workload in
   let fp = Vp_parallel.Cost_cache.context_fingerprint disk table in
@@ -245,29 +227,6 @@ let test_fingerprint_sensitivity () =
     (fp <> Vp_parallel.Cost_cache.context_fingerprint bigger_buffer table);
   Alcotest.(check bool) "table schema changes it" true
     (fp <> Vp_parallel.Cost_cache.context_fingerprint disk Testutil.tiny)
-
-(* --- Runner --- *)
-
-let test_runner_ordering () =
-  let tasks =
-    List.init 8 (fun i ->
-        Vp_parallel.Runner.task
-          ~label:(Printf.sprintf "t%d" i)
-          (fun () -> i * 7))
-  in
-  List.iter
-    (fun jobs ->
-      let outcomes = Vp_parallel.Runner.run ~jobs tasks in
-      Alcotest.(check (list (pair string int)))
-        (Printf.sprintf "labelled results in order, jobs=%d" jobs)
-        (List.init 8 (fun i -> (Printf.sprintf "t%d" i, i * 7)))
-        (Vp_parallel.Runner.values outcomes);
-      List.iter
-        (fun (o : int Vp_parallel.Runner.outcome) ->
-          Alcotest.(check bool) "non-negative elapsed" true
-            (o.elapsed_seconds >= 0.0))
-        outcomes)
-    [ 1; 4 ]
 
 let suite =
   [
@@ -283,7 +242,5 @@ let suite =
     Alcotest.test_case "once exception retries" `Quick test_once_exception_retries;
     Alcotest.test_case "cache matches io model" `Quick test_cache_matches_io_model;
     Alcotest.test_case "cache stats + clear" `Quick test_cache_stats_and_clear;
-    Alcotest.test_case "cache kill switch" `Quick test_cache_kill_switch;
     Alcotest.test_case "fingerprint sensitivity" `Quick test_fingerprint_sensitivity;
-    Alcotest.test_case "runner ordering" `Quick test_runner_ordering;
   ]

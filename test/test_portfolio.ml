@@ -8,7 +8,7 @@
      surfaces a valid best-so-far layout as [Timed_out], for every
      registered algorithm.
    - Never worse: under equal step budgets the portfolio's cost is <=
-     every single entrant's.
+     every single entrant's, on random tables and on the TPC-H line-up.
    - ILP exactness: with the admissible I/O bound, ILP's cost equals
      BruteForce's bit-for-bit on small tables (both are exact searches;
      they differ only in branching order and bound).
@@ -153,37 +153,47 @@ let test_cancelled_mid_run () =
    budget — exactly a solo run's allowance — and the winner is the
    cheapest response, so the portfolio can never be costlier than any
    entrant run solo under the same step budget. *)
+let check_never_worse ~label ~steps ~race ~singles ~oracle w =
+  let delta = Vp_cost.Io_model.Incremental.factory disk w in
+  let run a =
+    let budget = Vp_robust.Budget.create ~max_steps:steps () in
+    Partitioner.exec a (Partitioner.Request.make ~budget ~delta ~cost:oracle w)
+  in
+  let race = run race in
+  List.iter
+    (fun (a : Partitioner.t) ->
+      let solo = run a in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: portfolio (%g) <= solo %s (%g) under %d steps"
+           label race.Partitioner.Response.cost a.name
+           solo.Partitioner.Response.cost steps)
+        true
+        (race.Partitioner.Response.cost <= solo.Partitioner.Response.cost))
+    singles
+
 let test_never_worse_than_singles () =
   let root = Vp_datagen.Prng.create 0xBE57L in
-  let entrants = Vp_algorithms.Portfolio.default_entrants () in
   for i = 0 to 7 do
     let w = random_workload root i in
-    let oracle = Vp_cost.Io_model.oracle disk w in
-    let delta = Vp_cost.Io_model.Incremental.factory disk w in
-    let steps = 300 in
-    let race =
-      let budget = Vp_robust.Budget.create ~max_steps:steps () in
-      Partitioner.exec
-        (Vp_algorithms.Portfolio.make ~jobs:2 ())
-        (Partitioner.Request.make ~budget ~delta ~cost:oracle w)
-    in
-    List.iter
-      (fun (a : Partitioner.t) ->
-        let budget = Vp_robust.Budget.create ~max_steps:steps () in
-        let solo =
-          Partitioner.exec a
-            (Partitioner.Request.make ~budget ~delta ~cost:oracle w)
-        in
-        Alcotest.(check bool)
-          (Printf.sprintf
-             "pair %d: portfolio (%g) <= solo %s (%g) under %d steps" i
-             race.Partitioner.Response.cost a.name
-             solo.Partitioner.Response.cost steps)
-          true
-          (race.Partitioner.Response.cost
-          <= solo.Partitioner.Response.cost))
-      entrants
-  done
+    check_never_worse ~label:(Printf.sprintf "pair %d" i) ~steps:300
+      ~race:(Vp_algorithms.Portfolio.make ~jobs:2 ())
+      ~singles:(Vp_algorithms.Portfolio.default_entrants ())
+      ~oracle:(Vp_cost.Io_model.oracle disk w) w
+  done;
+  (* The TPC-H line-up at the experiments' setting, against every
+     single algorithm the repo ships. *)
+  let singles =
+    Vp_algorithms.Registry.with_brute_force
+      ~brute_force:(Vp_experiments.Common.brute_force disk) ()
+    @ [ Vp_algorithms.Ilp.with_bound disk; Vp_algorithms.Hypergraph.algorithm ]
+    @ Vp_algorithms.Registry.baselines
+  in
+  List.iter
+    (fun w ->
+      check_never_worse ~label:(Table.name (Workload.table w)) ~steps:20_000
+        ~race:(Vp_algorithms.Portfolio.with_bound disk) ~singles
+        ~oracle:(Vp_experiments.Common.cached_oracle disk w) w)
+    (Vp_benchmarks.Tpch.workloads ~sf:Vp_experiments.Common.sf)
 
 (* Two exact searches, one answer: with the admissible I/O bound wired,
    ILP must price its layout exactly like BruteForce on every small

@@ -290,6 +290,47 @@ let overload_shed port =
 
 let test_overload_shed () = with_daemon ~jobs:1 ~max_pending:1 overload_shed
 
+(* The other side of backpressure: bounded concurrency under the
+   admission limit is never shed. 4 clients x 16 fixed-service-time
+   requests (a stand-in for an I/O-bound layout fetch) against 1 and 4
+   server jobs with the default [max_pending] must all be answered
+   "ok" — 0 shed replies, 0 errors. *)
+let test_normal_load_never_sheds () =
+  let clients = 4 and requests_each = 16 in
+  List.iter
+    (fun jobs ->
+      with_daemon ~jobs (fun port ->
+          let worker () =
+            with_client port (fun c ->
+                let ok = ref 0 and shed = ref 0 and errors = ref 0 in
+                for _ = 1 to requests_each do
+                  match Client.request c (Protocol.sleep ~ms:20) with
+                  | Ok reply when Protocol.reply_status reply = "ok" -> incr ok
+                  | Ok reply when Protocol.reply_status reply = "overloaded" ->
+                      incr shed
+                  | Ok _ | Error _ -> incr errors
+                done;
+                (!ok, !shed, !errors))
+          in
+          let outcomes =
+            List.map Domain.join
+              (List.init clients (fun _ -> Domain.spawn worker))
+          in
+          let sum f = List.fold_left (fun a o -> a + f o) 0 outcomes in
+          Alcotest.(check int)
+            (Printf.sprintf "normal-load shed replies, %d server job(s)" jobs)
+            0
+            (sum (fun (_, s, _) -> s));
+          Alcotest.(check int)
+            (Printf.sprintf "errors, %d server job(s)" jobs)
+            0
+            (sum (fun (_, _, e) -> e));
+          Alcotest.(check int)
+            (Printf.sprintf "ok replies, %d server job(s)" jobs)
+            (clients * requests_each)
+            (sum (fun (o, _, _) -> o))))
+    [ 1; 4 ]
+
 let test_router_overload_shed () =
   Testutil.with_temp_dir "router-shed" (fun data_dir ->
       let r =
@@ -413,6 +454,8 @@ let suite =
       test_protocol_robustness;
     Alcotest.test_case "overload sheds with retry-after" `Quick
       test_overload_shed;
+    Alcotest.test_case "normal load never sheds" `Quick
+      test_normal_load_never_sheds;
     Alcotest.test_case "router overload sheds with retry-after" `Quick
       test_router_overload_shed;
     Alcotest.test_case "client bounds reply lines" `Quick

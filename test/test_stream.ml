@@ -213,21 +213,27 @@ let test_sample_stats_exact () =
   Alcotest.(check (Testutil.close ~eps:1e-9 ()))
     "avg string length" 4.0 stats.(1).Format.avg_len
 
+(* Over the TPC-H line-up at SF 0.1 on the test disk, and at the
+   experiments' unified setting (SF 10, default disk). *)
 let test_choose_never_worse_than_plain () =
   List.iter
-    (fun w ->
-      let table = Workload.table w in
-      let layout = Partitioning.column (Table.attribute_count table) in
-      let stats = Format.schema_stats table in
-      let chosen = Format.choose disk table w layout stats in
-      let plain = Format.plain table layout in
-      let c_chosen = Format.scan_cost disk table w layout chosen in
-      let c_plain = Format.scan_cost disk table w layout plain in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: chosen <= plain" (Table.name table))
-        true
-        (c_chosen <= c_plain +. 1e-9))
-    (Vp_benchmarks.Tpch.workloads ~sf:0.1)
+    (fun (disk, sf) ->
+      List.iter
+        (fun w ->
+          let table = Workload.table w in
+          let layout = Partitioning.column (Table.attribute_count table) in
+          let stats = Format.schema_stats table in
+          let chosen = Format.choose disk table w layout stats in
+          let plain = Format.plain table layout in
+          let c_chosen = Format.scan_cost disk table w layout chosen in
+          let c_plain = Format.scan_cost disk table w layout plain in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s at SF %g: chosen <= plain" (Table.name table)
+               sf)
+            true
+            (c_chosen <= c_plain +. 1e-9))
+        (Vp_benchmarks.Tpch.workloads ~sf))
+    [ (disk, 0.1); (Vp_experiments.Common.disk, Vp_experiments.Common.sf) ]
 
 let test_choose_dictionary_for_low_cardinality () =
   (* A wide, low-cardinality string column is the dictionary codec's
