@@ -88,22 +88,3 @@ let normalized workload i j =
       else min 1.0 (mutual workload i j /. floor_h)
     end
   end
-
-let interestingness workload group =
-  let attrs = Attr_set.to_list group in
-  match attrs with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-      let pairs = ref 0 and acc = ref 0.0 in
-      let rec go = function
-        | [] -> ()
-        | i :: rest ->
-            List.iter
-              (fun j ->
-                incr pairs;
-                acc := !acc +. normalized workload i j)
-              rest;
-            go rest
-      in
-      go attrs;
-      !acc /. float_of_int !pairs

@@ -24,8 +24,3 @@ val normalized : Workload.t -> int -> int -> float
     indicators are anti- or un-correlated (mutual information alone would
     score complementary access patterns as highly as joint ones, which is
     useless for column grouping), and the normalized MI otherwise. *)
-
-val interestingness : Workload.t -> Attr_set.t -> float
-(** Trojan's column-group interestingness: the average normalized mutual
-    information over all attribute pairs of the group. Zero for singleton
-    groups. *)

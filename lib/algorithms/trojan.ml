@@ -1,10 +1,24 @@
 open Vp_core
 
-let run ?(budget = Vp_robust.Budget.unlimited) ~threshold ~max_candidates
-    workload oracle =
-  let table = Workload.table workload in
-  let n = Table.attribute_count table in
-  (* Pairwise normalized mutual information, precomputed once. *)
+(* Per-run scoring shared by every threshold pass: the pairwise NMI matrix
+   and [benefits.(mask)], filled by the first pass for the masks of >= 2
+   bits below [Array.length benefits]; [scored] is set once that pass
+   completes. The array covers every mask of a table of up to
+   [max_scored_bits] attributes (8 MiB; the TPC-H and SSB tables have at
+   most 17). A wider table, whose run a budget usually cuts short, re-scores
+   the masks beyond it on every pass rather than allocate 2^n floats up
+   front (8 GiB at 30 attributes). *)
+type scores = {
+  n : int;
+  nmi : float array array;
+  benefits : float array;
+  mutable scored : bool;
+}
+
+let max_scored_bits = 20
+
+let scores workload =
+  let n = Table.attribute_count (Workload.table workload) in
   let nmi = Array.make_matrix n n 0.0 in
   for i = 0 to n - 2 do
     for j = i + 1 to n - 1 do
@@ -13,41 +27,55 @@ let run ?(budget = Vp_robust.Budget.unlimited) ~threshold ~max_candidates
       nmi.(j).(i) <- v
     done
   done;
-  (* Benefit of a group: total pairwise NMI captured inside it (additive
-     across disjoint groups, so the exact cover maximises the NMI kept
-     within partitions). Interestingness = benefit / #pairs. *)
-  let group_scores mask =
-    let attrs = Attr_set.to_list (Attr_set.of_mask mask) in
-    let pairs = ref 0 and total = ref 0.0 in
-    let rec go = function
-      | [] -> ()
-      | i :: rest ->
-          List.iter
-            (fun j ->
-              incr pairs;
-              total := !total +. nmi.(i).(j))
-            rest;
-          go rest
-    in
-    go attrs;
-    (!total /. float_of_int !pairs, !total)
-  in
+  let benefits = Array.create_float (1 lsl (min n max_scored_bits)) in
+  { n; nmi; benefits; scored = false }
+
+let run ?(budget = Vp_robust.Budget.unlimited) ~threshold ~max_candidates
+    scores oracle =
+  let { n; nmi; benefits; scored } = scores in
+  let stored = Array.length benefits in
+  let bits = Array.make n 0 in
   (* Enumerate all column groups of size >= 2 and keep the interesting
-     ones. *)
+     ones. A group's benefit is the total pairwise NMI captured inside it
+     (additive across disjoint groups, so the exact cover maximises the
+     NMI kept within partitions), summed i ascending, then j ascending
+     over the members above i; interestingness = benefit / #pairs. *)
   let interesting = ref [] in
   let count = ref 0 in
   for mask = 1 to (1 lsl n) - 1 do
     Vp_robust.Budget.tick budget;
-    let set = Attr_set.of_mask mask in
-    if Attr_set.cardinal set >= 2 then begin
+    let group = Attr_set.of_mask mask in
+    let k = Attr_set.cardinal group in
+    if k >= 2 then begin
       Partitioner.Counted.note_candidate oracle;
-      let interestingness, benefit = group_scores mask in
-      if interestingness >= threshold then begin
+      let benefit =
+        if scored && mask < stored then benefits.(mask)
+        else begin
+          let m = ref 0 in
+          for i = 0 to n - 1 do
+            if mask land (1 lsl i) <> 0 then begin
+              bits.(!m) <- i;
+              incr m
+            end
+          done;
+          let total = ref 0.0 in
+          for a = 0 to k - 2 do
+            let row = nmi.(bits.(a)) in
+            for b = a + 1 to k - 1 do
+              total := !total +. row.(bits.(b))
+            done
+          done;
+          if mask < stored then benefits.(mask) <- !total;
+          !total
+        end
+      in
+      if benefit /. float_of_int (k * (k - 1) / 2) >= threshold then begin
         incr count;
-        interesting := { Knapsack.group = set; benefit } :: !interesting
+        interesting := { Knapsack.group; benefit } :: !interesting
       end
     end
   done;
+  scores.scored <- true;
   let candidates =
     if !count <= max_candidates then !interesting
     else begin
@@ -71,17 +99,17 @@ let with_threshold ?(max_candidates = 4096) threshold =
     ~name:(Printf.sprintf "Trojan(t=%.2f)" threshold)
     ~short_name:"Tr"
     (fun ~budget workload oracle ->
+      let scores = scores workload in
       if not (Vp_robust.Budget.is_limited budget) then
-        run ~threshold ~max_candidates workload oracle
+        run ~threshold ~max_candidates scores oracle
       else begin
         (* Trojan's group enumeration has no usable intermediate state, so
            the budgeted fallback is the row layout: price it before any
            tick, and keep the knapsack solution only if the run completes
            and beats it. *)
-        let n = Table.attribute_count (Workload.table workload) in
-        let row = Partitioning.row n in
+        let row = Partitioning.row scores.n in
         let row_cost = Partitioner.Counted.cost oracle row in
-        match run ~budget ~threshold ~max_candidates workload oracle with
+        match run ~budget ~threshold ~max_candidates scores oracle with
         | p, iterations -> (
             (* Pricing the knapsack solution is a budget step too; the
                tick and the evaluation sit in the scrutinee so that
@@ -100,14 +128,18 @@ let with_threshold ?(max_candidates = 4096) threshold =
 (* The default Trojan tunes its pruning threshold with the cost model: the
    candidate generation + knapsack pipeline runs once per threshold and the
    cheapest complete solution wins. This mirrors how the Trojan paper picks
-   its final layout among interesting-group packings, keeps the algorithm
-   threshold-pruning based, and leaves it the slowest of the six heuristics
-   (it enumerates the whole column-group space several times). *)
+   its final layout among interesting-group packings and keeps the
+   algorithm threshold-pruning based. Every pass still walks the whole
+   column-group space, one budget tick per group, but the groups are
+   scored once per run: the first pass fills [benefits] and the later ones
+   only re-apply their threshold. Trojan stays the slowest of the six
+   heuristics. *)
 let default_thresholds = [ 1.0; 0.9; 0.7; 0.5; 0.3 ]
 
 let algorithm =
   Partitioner.timed_run_budgeted ~name:"Trojan" ~short_name:"Tr"
     (fun ~budget workload oracle ->
+      let scores = scores workload in
       let best = ref None in
       (* Under a budget — or any cancellable one, which can exhaust at its
          very first tick — seed the incumbent with the row layout (priced
@@ -118,15 +150,14 @@ let algorithm =
         Vp_robust.Budget.is_limited budget
         || Vp_robust.Budget.cancellable budget
       then begin
-        let n = Table.attribute_count (Workload.table workload) in
-        let row = Partitioning.row n in
+        let row = Partitioning.row scores.n in
         best := Some (row, Partitioner.Counted.cost oracle row)
       end;
       (try
          List.iter
            (fun threshold ->
              let p, _ =
-               run ~budget ~threshold ~max_candidates:4096 workload oracle
+               run ~budget ~threshold ~max_candidates:4096 scores oracle
              in
              (* Charge the per-threshold pricing like any other cost
                 probe; the surrounding [try] keeps the incumbent on

@@ -6,9 +6,9 @@ open Vp_core
 
     The algorithm is threshold-pruning based:
     + enumerate all column groups (attribute subsets of size >= 2) and
-      score each with an {e interestingness} measure derived from the
-      mutual information between the attributes' access patterns
-      ({!Mutual_information.interestingness});
+      score each with an {e interestingness} measure: the average
+      normalized mutual information between the members' access patterns
+      ({!Mutual_information.normalized}) over all pairs of the group;
     + prune groups whose interestingness falls below the threshold (and,
       as a safety valve for very wide tables, keep at most
       [max_candidates] top groups);
@@ -24,8 +24,9 @@ open Vp_core
 val algorithm : Partitioner.t
 (** Trojan tuned by the cost model: runs the pipeline once per
     interestingness threshold in {1.0, 0.9, 0.7, 0.5, 0.3} and keeps the
-    layout the oracle prices cheapest (the first on ties). Under a limited
-    or cancellable budget the row layout seeds the incumbent, so
+    layout the oracle prices cheapest (the first on ties). Each column
+    group is scored once per run; the thresholds share the scores. Under
+    a limited or cancellable budget the row layout seeds the incumbent, so
     exhaustion still returns a valid layout. *)
 
 val with_threshold : ?max_candidates:int -> float -> Partitioner.t

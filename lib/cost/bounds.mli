@@ -11,7 +11,11 @@ open Vp_core
     attributes land; and (iii) unneeded attributes already co-located with
     needed ones will be scanned too. Summing (i)-(iii) under-estimates the
     true cost of every completion, which is exactly what branch-and-bound
-    requires. *)
+    requires.
+
+    Apply a bound to its workload once per search: the partial application
+    precomputes everything but the blocks, and the returned closure is the
+    per-node test. *)
 
 val io_brute_force :
   Disk.t -> Workload.t -> blocks:Attr_set.t list -> remaining:Attr_set.t -> float

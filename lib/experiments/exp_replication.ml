@@ -69,10 +69,11 @@ let run () =
   let pmv = Vp_metrics.Measures.Aggregate.total_pmv_cost Common.disk workloads in
   let render (algo_name : string) =
     let algorithm = Vp_algorithms.Registry.find algo_name in
-    let single, _ = run_for algorithm 1 in
-    List.map
-      (fun replicas ->
-        let cost, storage = run_for algorithm replicas in
+    (* r = 1 is both the first row and every row's baseline. *)
+    let ((single, _) as r1) = run_for algorithm 1 in
+    List.mapi
+      (fun i (cost, storage) ->
+        let replicas = i + 1 in
         [
           Printf.sprintf "%s r=%d" algo_name replicas;
           Printf.sprintf "%.1f" cost;
@@ -80,7 +81,7 @@ let run () =
           Vp_report.Ascii.percent ((cost -. pmv) /. pmv);
           Vp_report.Ascii.bytes storage;
         ])
-      [ 1; 2; 3; 4 ]
+      (r1 :: List.map (run_for algorithm) [ 2; 3; 4 ])
   in
   Vp_report.Ascii.table
     ~title:

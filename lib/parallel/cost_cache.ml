@@ -16,21 +16,14 @@ let c_hits = Vp_observe.Stats.counter "cache.hits"
 
 let c_misses = Vp_observe.Stats.counter "cache.misses"
 
-let create () =
+let global =
   { mutex = Mutex.create (); table = Hashtbl.create 4096; hits = 0; misses = 0 }
-
-let global = create ()
 
 let stats t =
   Mutex.lock t.mutex;
   let s = { hits = t.hits; misses = t.misses; entries = Hashtbl.length t.table } in
   Mutex.unlock t.mutex;
   s
-
-let hit_rate t =
-  let s = stats t in
-  let lookups = s.hits + s.misses in
-  if lookups = 0 then 0.0 else float_of_int s.hits /. float_of_int lookups
 
 let clear t =
   Mutex.lock t.mutex;
@@ -83,7 +76,7 @@ let lookup t key on_miss =
    merge step changes the referenced partitions of only the queries
    touching the two merged fragments, and workload-prefix sweeps re-pose
    the same (query, partitions) instances run after run. *)
-let query_oracle ?(cache = global) disk workload =
+let query_oracle disk workload =
   let table = Workload.table workload in
   let queries = Workload.queries workload in
   let ctx = context_fingerprint disk table in
@@ -111,7 +104,7 @@ let query_oracle ?(cache = global) disk workload =
                  referenced)
         in
         let c =
-          lookup cache key (fun () ->
+          lookup global key (fun () ->
               Vp_cost.Io_model.query_cost_groups disk table referenced)
         in
         acc := !acc +. (Query.weight q *. c))

@@ -53,14 +53,10 @@ val create : ?clamp:bool -> jobs:int -> unit -> t
 val jobs : t -> int
 (** The concurrency the pool was created with (always >= 1). *)
 
-val effective_jobs : jobs:int -> int
-(** The number of domains (workers + helping caller) a pool created with
-    [~jobs] actually uses: [min jobs (Domain.recommended_domain_count ())],
-    at least 1. *)
-
 val domain_count : t -> int
-(** Worker domains plus the helping caller for this pool (= [effective_jobs
-    ~jobs:(jobs t)]). *)
+(** Worker domains plus the helping caller for this pool: [min (jobs t)
+    (Domain.recommended_domain_count ())], at least 1, unless created with
+    [~clamp:false]. *)
 
 val run : t -> (unit -> 'a) list -> 'a list
 (** Executes every thunk and returns their results in submission order.

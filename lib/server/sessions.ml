@@ -24,7 +24,6 @@ type t = {
   fsync : Journal.fsync;
   mutable clock : int;
   mutable resident : int;
-  mutable recovered : int;
 }
 
 let g_active = Vp_observe.Stats.gauge "server.active_sessions"
@@ -52,8 +51,6 @@ let publish_locked t =
 let count t = locked t (fun () -> Hashtbl.length t.table)
 
 let resident_count t = locked t (fun () -> t.resident)
-
-let recovered_count t = t.recovered
 
 let touch_locked t r =
   t.clock <- t.clock + 1;
@@ -171,9 +168,9 @@ let create ?data_dir ?max_resident ?(fsync = Journal.Never) () =
       fsync;
       clock = 0;
       resident = 0;
-      recovered = 0;
     }
   in
+  let recovered = ref 0 in
   (match data_dir with
   | None -> ()
   | Some dir ->
@@ -193,11 +190,11 @@ let create ?data_dir ?max_resident ?(fsync = Journal.Never) () =
                         match Protocol.open_spec_of_json doc with
                         | Ok spec when spec.Protocol.session = name ->
                             Hashtbl.replace t.table name (Spilled spec);
-                            t.recovered <- t.recovered + 1
+                            incr recovered
                         | Ok _ | Error _ -> ()))))
         (Sys.readdir dir));
-  if t.recovered > 0 && Vp_observe.Switch.stats_on () then
-    Vp_observe.Stats.add c_recovered t.recovered;
+  if !recovered > 0 && Vp_observe.Switch.stats_on () then
+    Vp_observe.Stats.add c_recovered !recovered;
   locked t (fun () -> publish_locked t);
   t
 

@@ -58,7 +58,8 @@ val create :
   t
 (** An empty registry — or, when [data_dir] holds session state from a
     previous life, a registry with every persisted session registered
-    as spilled (counted by {!recovered_count}). Without [data_dir] the
+    as spilled (counted by {!count} and, with stats on, the
+    [server.sessions_recovered] counter). Without [data_dir] the
     registry is purely in-memory: no WAL, no spilling, state dies with
     the process (the pre-durability behaviour). [max_resident] (default
     unlimited) caps the number of in-memory sessions; [fsync] (default
@@ -73,9 +74,6 @@ val count : t -> int
 val resident_count : t -> int
 (** Sessions currently holding in-memory state (the
     [server.resident_sessions] gauge). *)
-
-val recovered_count : t -> int
-(** Sessions found on disk when the registry was created. *)
 
 type opened = {
   created : bool;  (** A fresh session was created by this open. *)

@@ -174,6 +174,67 @@ let prop_bound_admissible_at_prefixes =
           <= full_cost +. 1e-9)
         (prefixes [] groups))
 
+(* The bound as an inline fold over the workload's queries, every
+   per-query term recomputed on each call. The bound a BruteForce run
+   builds once per workload must return exactly these float bits. *)
+let reference_bound ~seek_unit ~byte_rate workload ~blocks =
+  let table = Workload.table workload in
+  let rows = float_of_int (Table.row_count table) in
+  Array.fold_left
+    (fun acc q ->
+      let refs = Query.references q in
+      let referenced_blocks =
+        List.filter (fun b -> Attr_set.intersects b refs) blocks
+      in
+      let seeks = float_of_int (List.length referenced_blocks) in
+      let needed = float_of_int (Table.subset_size table refs) in
+      let colocated =
+        List.fold_left
+          (fun w b -> w + Table.subset_size table (Attr_set.diff b refs))
+          0 referenced_blocks
+      in
+      let bytes = rows *. (needed +. float_of_int colocated) in
+      acc +. (Query.weight q *. ((seek_unit *. seeks) +. (bytes /. byte_rate))))
+    0.0 (Workload.queries workload)
+
+let prop_bound_matches_reference =
+  let gen =
+    QCheck2.Gen.(
+      let* w = Testutil.gen_workload 8 6 in
+      let* weights = list_repeat (Workload.query_count w) (float_range 0.1 9.0) in
+      let queries =
+        List.map2
+          (fun q weight ->
+            Query.make ~weight ~name:(Query.name q)
+              ~references:(Query.references q) ())
+          (Array.to_list (Workload.queries w))
+          weights
+      in
+      let* block_lists =
+        list_size (int_range 1 8)
+          (list_size (int_range 0 6) (map Attr_set.of_mask (int_range 1 255)))
+      in
+      return (Workload.make (Workload.table w) queries, block_lists))
+  in
+  QCheck2.Test.make ~name:"B&B lower bound = inline reference bits" ~count:200
+    gen (fun (w, block_lists) ->
+      let mm = Vp_cost.Memory_model.default in
+      let io = Vp_cost.Bounds.io_brute_force hand_disk w
+      and memory = Vp_cost.Bounds.memory_brute_force mm w in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      List.for_all
+        (fun blocks ->
+          let remaining = Attr_set.empty in
+          same
+            (io ~blocks ~remaining)
+            (reference_bound ~seek_unit:hand_disk.seek_time
+               ~byte_rate:hand_disk.read_bandwidth w ~blocks)
+          && same
+               (memory ~blocks ~remaining)
+               (reference_bound ~seek_unit:0.0 ~byte_rate:mm.bandwidth w
+                  ~blocks))
+        block_lists)
+
 let prop_memory_column_optimal =
   QCheck2.Test.make ~name:"MM model: column layout near-optimal" ~count:200
     arb_workload_and_partitioning (fun (w, p) ->
@@ -204,6 +265,7 @@ let suite =
     Testutil.qtest prop_needed_le_read;
     Testutil.qtest prop_brute_force_bound_admissible;
     Testutil.qtest prop_bound_admissible_at_prefixes;
+    Testutil.qtest prop_bound_matches_reference;
     Testutil.qtest prop_memory_column_optimal;
   ]
 

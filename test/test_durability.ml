@@ -259,7 +259,7 @@ let test_crash_recovery_every_boundary () =
         Alcotest.(check int)
           (Printf.sprintf "boundary %d: startup scan finds the session" k)
           1
-          (Sessions.recovered_count reg);
+          (Sessions.count reg);
         let opened = unwrap (Sessions.open_session reg (spec t)) in
         Alcotest.(check bool)
           (Printf.sprintf "boundary %d: open restores" k)

@@ -99,20 +99,23 @@ let test_paper_headline_results () =
         (r.total_cost < row.total_cost))
     [ navathe; o2p ]
 
-(* Table 7's rendering against the sweep benchmark's reference digest
-   (perfbench/sweep_reference.txt, read, never rewritten here). *)
-let test_table7_matches_reference () =
+(* A cell's rendering against the sweep benchmark's reference digest
+   (perfbench/sweep_reference.txt, read, never rewritten here). Table 7
+   pins storage and datagen; tables 5 and 6 and the replication extension
+   pin Trojan and the bounded BruteForce. *)
+let test_matches_reference id () =
   let reference =
     In_channel.with_open_bin "../perfbench/sweep_reference.txt"
       In_channel.input_lines
     |> List.find_map (fun line ->
            match String.split_on_char ' ' line with
-           | [ "table7"; digest ] -> Some digest
+           | [ cell; digest ] when cell = id -> Some digest
            | _ -> None)
   in
+  let output = (Vp_experiments.Registry.find id).Vp_experiments.Registry.run () in
   Alcotest.(check (option string))
-    "table7 md5" reference
-    (Some (Digest.to_hex (Digest.string (Vp_experiments.Exp_dbms.table7 ()))))
+    (id ^ " md5") reference
+    (Some (Digest.to_hex (Digest.string output)))
 
 let suite =
   [
@@ -123,6 +126,9 @@ let suite =
     Alcotest.test_case "algorithm line-up" `Quick test_common_algorithm_lineup;
     Alcotest.test_case "tpch runs cached" `Slow test_tpch_runs_cached_and_complete;
     Alcotest.test_case "paper headline results" `Slow test_paper_headline_results;
-    Alcotest.test_case "table7 matches sweep reference" `Slow
-      test_table7_matches_reference;
   ]
+  @ List.map
+      (fun id ->
+        Alcotest.test_case (id ^ " matches sweep reference") `Slow
+          (test_matches_reference id))
+      [ "table7"; "table5"; "table6"; "replication" ]

@@ -83,8 +83,8 @@ let test_cached_cost_equals_uncached () =
   for i = 0 to pair_count - 1 do
     let w = random_workload root i in
     let oracle = Vp_cost.Io_model.oracle disk w in
-    let cache = Vp_parallel.Cost_cache.create () in
-    let qcached = Vp_parallel.Cost_cache.query_oracle ~cache disk w in
+    Vp_parallel.Cost_cache.(clear global);
+    let qcached = Vp_parallel.Cost_cache.query_oracle disk w in
     List.iter
       (fun (a : Partitioner.t) ->
         let ctx = Printf.sprintf "%s on pair %d" a.Partitioner.name i in

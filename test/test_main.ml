@@ -15,6 +15,7 @@ let () =
       ("cost", Test_cost.suite);
       ("delta_oracle", Test_delta_oracle.suite);
       ("algorithms", Test_algorithms.suite);
+      ("trojan", Test_trojan.suite);
       ("substrates", Test_substrates.suite);
       ("benchmarks", Test_benchmarks.suite);
       ("datagen", Test_datagen.suite);

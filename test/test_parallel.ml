@@ -56,16 +56,13 @@ let test_pool_exception () =
     [ 1; 4 ]
 
 let test_pool_jobs_accounting () =
-  Alcotest.(check bool) "effective_jobs >= 1" true
-    (Vp_parallel.Pool.effective_jobs ~jobs:4 >= 1);
-  Alcotest.(check bool) "effective_jobs <= jobs" true
-    (Vp_parallel.Pool.effective_jobs ~jobs:4 <= 4);
-  Alcotest.(check int) "jobs=1 is one domain" 1
-    (Vp_parallel.Pool.effective_jobs ~jobs:1);
+  let cores = max 1 (Domain.recommended_domain_count ()) in
+  Vp_parallel.Pool.with_pool ~jobs:1 (fun pool ->
+      Alcotest.(check int) "jobs=1 is one domain" 1
+        (Vp_parallel.Pool.domain_count pool));
   Vp_parallel.Pool.with_pool ~jobs:4 (fun pool ->
       Alcotest.(check int) "requested jobs" 4 (Vp_parallel.Pool.jobs pool);
-      Alcotest.(check int) "domain count"
-        (Vp_parallel.Pool.effective_jobs ~jobs:4)
+      Alcotest.(check int) "domain count clamped to the cores" (min 4 cores)
         (Vp_parallel.Pool.domain_count pool))
 
 let test_default_jobs_env () =
@@ -179,8 +176,8 @@ let some_partitionings n =
 let test_cache_matches_io_model () =
   let w = Testutil.partsupp_workload in
   let n = Table.attribute_count (Workload.table w) in
-  let qcache = Vp_parallel.Cost_cache.create () in
-  let qcached = Vp_parallel.Cost_cache.query_oracle ~cache:qcache disk w in
+  Vp_parallel.Cost_cache.(clear global);
+  let qcached = Vp_parallel.Cost_cache.query_oracle disk w in
   (* Two passes: the second one is served from the cache and must return
      bit-identical floats. *)
   for pass = 1 to 2 do
@@ -193,14 +190,15 @@ let test_cache_matches_io_model () =
       (some_partitionings n)
   done;
   Alcotest.(check bool) "query cache hits" true
-    (Vp_parallel.Cost_cache.hit_rate qcache > 0.0)
+    (Vp_parallel.Cost_cache.(stats global).hits > 0)
 
 (* partsupp's two queries have distinct footprints: one evaluation is two
    lookups under two keys. *)
 let test_cache_stats_and_clear () =
   let w = Testutil.partsupp_workload in
-  let cache = Vp_parallel.Cost_cache.create () in
-  let cached = Vp_parallel.Cost_cache.query_oracle ~cache disk w in
+  let cache = Vp_parallel.Cost_cache.global in
+  Vp_parallel.Cost_cache.clear cache;
+  let cached = Vp_parallel.Cost_cache.query_oracle disk w in
   let p = Partitioning.column 5 in
   ignore (cached p);
   ignore (cached p);
@@ -209,7 +207,7 @@ let test_cache_stats_and_clear () =
   Alcotest.(check int) "two hits" 2 s.Vp_parallel.Cost_cache.hits;
   Alcotest.(check int) "two entries" 2 s.Vp_parallel.Cost_cache.entries;
   Alcotest.(check (float 1e-9)) "hit rate" 0.5
-    (Vp_parallel.Cost_cache.hit_rate cache);
+    (float_of_int s.hits /. float_of_int (s.hits + s.misses));
   Vp_parallel.Cost_cache.clear cache;
   let s = Vp_parallel.Cost_cache.stats cache in
   Alcotest.(check int) "cleared entries" 0 s.Vp_parallel.Cost_cache.entries;

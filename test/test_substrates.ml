@@ -219,13 +219,6 @@ let test_mi_entropy () =
   (* PartKey accessed by 1 of 2 queries: entropy 1 bit. *)
   Alcotest.(check (float 1e-9)) "entropy 1" 1.0 (M.entropy w 0)
 
-let test_interestingness_singleton_zero () =
-  let w = Testutil.partsupp_workload in
-  Alcotest.(check (float 0.0)) "singleton" 0.0
-    (M.interestingness w (Attr_set.singleton 0));
-  Alcotest.(check (float 1e-9)) "identical pair maximal" 1.0
-    (M.interestingness w (Attr_set.of_list [ 0; 1 ]))
-
 let prop_mi_symmetric =
   QCheck2.Test.make ~name:"MI symmetric and bounded" ~count:100
     QCheck2.Gen.(triple (Testutil.gen_workload 6 6) (int_range 0 5) (int_range 0 5))
@@ -258,7 +251,6 @@ let suite =
     Alcotest.test_case "MI identical signatures" `Quick test_mi_identical_signatures;
     Alcotest.test_case "MI sign" `Quick test_mi_disjoint_signatures;
     Alcotest.test_case "MI entropy" `Quick test_mi_entropy;
-    Alcotest.test_case "interestingness" `Quick test_interestingness_singleton_zero;
     Testutil.qtest prop_mi_symmetric;
   ]
 
